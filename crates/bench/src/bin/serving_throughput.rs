@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use urs_bench::smoke;
+use urs_core::engine::json::{self, Value};
 use urs_server::Server;
 
 fn lifecycle(index: usize) -> String {
@@ -159,20 +160,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("Every warm response was byte-identical to its cold twin.");
 
-    let json = format!(
-        "{{\n  \"queries_per_pass\": {queries},\n  \"batch_size\": {batch_size},\n  \
-         \"cold_seconds\": {cold_seconds},\n  \"warm_seconds\": {warm_seconds},\n  \
-         \"cold_queries_per_sec\": {cold_qps},\n  \"warm_queries_per_sec\": {warm_qps},\n  \
-         \"warm_speedup\": {speedup},\n  \"cache_hit_rate\": {hit_rate},\n  \
-         \"response_memo_hit_rate\": {memo_hit_rate},\n  \
-         \"cold_p50_micros\": {},\n  \"cold_p99_micros\": {},\n  \
-         \"warm_p50_micros\": {},\n  \"warm_p99_micros\": {}\n}}\n",
-        quantile(&sorted_cold, 0.50),
-        quantile(&sorted_cold, 0.99),
-        quantile(&sorted_warm, 0.50),
-        quantile(&sorted_warm, 0.99),
-    );
-    std::fs::write("BENCH_serving.json", json)?;
+    let micros = |sorted: &[u64], fraction: f64| Value::Number(quantile(sorted, fraction) as f64);
+    let json = json::object([
+        ("queries_per_pass", Value::Number(queries as f64)),
+        ("batch_size", Value::Number(batch_size as f64)),
+        ("cold_seconds", Value::Number(cold_seconds)),
+        ("warm_seconds", Value::Number(warm_seconds)),
+        ("cold_queries_per_sec", Value::Number(cold_qps)),
+        ("warm_queries_per_sec", Value::Number(warm_qps)),
+        ("warm_speedup", Value::Number(speedup)),
+        ("cache_hit_rate", Value::Number(hit_rate)),
+        ("response_memo_hit_rate", Value::Number(memo_hit_rate)),
+        ("cold_p50_micros", micros(&sorted_cold, 0.50)),
+        ("cold_p99_micros", micros(&sorted_cold, 0.99)),
+        ("warm_p50_micros", micros(&sorted_warm, 0.50)),
+        ("warm_p99_micros", micros(&sorted_warm, 0.99)),
+    ]);
+    std::fs::write("BENCH_serving.json", json.serialise() + "\n")?;
     println!("Wrote machine-readable results to BENCH_serving.json.");
 
     if speedup < 2.0 {

@@ -13,8 +13,8 @@
 //! matrix `G` (minimal solution of `Q2 + Q1·G + Q0·G² = 0`) is built by a doubling
 //! recursion that squares the effective step every iteration — quadratic convergence,
 //! so a dozen iterations replace the thousands of linear-convergence steps of the
-//! natural fixed point `R ← −(Q0 + R²·Q2)·Q1⁻¹`, which survives here only as the
-//! reference implementation [`MatrixGeometricSolver::rate_matrix_fixed_point`].  All
+//! natural fixed point `R ← −(Q0 + R²·Q2)·Q1⁻¹`, which survives only as the
+//! reference the `logarithmic_reduction` test suite pins the reduction against.  All
 //! inner products run on the in-place [`gemm`](Matrix::gemm)/LU-solve kernels of
 //! `urs-linalg` with a single [`Workspace`], so the iteration allocates nothing and
 //! no explicit matrix inverse is ever formed.
@@ -129,8 +129,8 @@ impl MatrixGeometricSolver {
         // routing never changes `R`.
         let mut neg_q1 = qbd.q1();
         neg_q1.scale_mut(-1.0);
-        let mut h = ws.real_matrix(s, s); // H_k: "up" block, starts (−Q1)⁻¹·Q0
-        let mut l = ws.real_matrix(s, s); // L_k: "down" block, starts (−Q1)⁻¹·Q2
+        let mut h = ws.matrix(s, s); // H_k: "up" block, starts (−Q1)⁻¹·Q0
+        let mut l = ws.matrix(s, s); // L_k: "down" block, starts (−Q1)⁻¹·Q2
         let (kl, ku) = qbd.q1_bandwidths();
         if banded_profitable(s, kl, ku) {
             let banded = BandedMatrix::from_dense(&neg_q1, kl, ku)?;
@@ -146,9 +146,9 @@ impl MatrixGeometricSolver {
 
         let mut g = l.clone(); // G accumulates the first-passage matrix
         let mut t = h.clone(); // T_k = H_0·H_1⋯H_{k-1}
-        let mut u = ws.real_matrix(s, s);
-        let mut m = ws.real_matrix(s, s);
-        let mut tmp = ws.real_matrix(s, s);
+        let mut u = ws.matrix(s, s);
+        let mut m = ws.matrix(s, s);
+        let mut tmp = ws.matrix(s, s);
 
         let mut depth = 0;
         let mut converged = false;
@@ -157,7 +157,7 @@ impl MatrixGeometricSolver {
             // U_k = H·L + L·H, then factor I − U_k once for both updates.
             u.gemm_with(1.0, &h, &l, 0.0, &self.pool)?;
             u.gemm_with(1.0, &l, &h, 1.0, &self.pool)?;
-            let mut eye_minus_u = ws.real_matrix(s, s);
+            let mut eye_minus_u = ws.matrix(s, s);
             eye_minus_u.copy_from(&u)?;
             eye_minus_u.scale_mut(-1.0);
             for i in 0..s {
@@ -169,7 +169,7 @@ impl MatrixGeometricSolver {
             iu_lu.solve_matrix_into(&m, &mut h)?;
             m.gemm_with(1.0, &l, &l, 0.0, &self.pool)?;
             iu_lu.solve_matrix_into(&m, &mut l)?;
-            ws.release_real_matrix(iu_lu.into_matrix());
+            ws.release_matrix(iu_lu.into_matrix());
             // G ← G + T·L, T ← T·H.
             g.gemm_with(1.0, &t, &l, 1.0, &self.pool)?;
             tmp.gemm_with(1.0, &t, &h, 0.0, &self.pool)?;
@@ -200,49 +200,6 @@ impl MatrixGeometricSolver {
         let mut r = Matrix::zeros(s, s);
         u_lu.solve_right_matrix_into_with(&q0, &mut r, &mut ws, &self.pool)?;
         Ok((r, depth))
-    }
-
-    /// The natural fixed-point iteration `R ← −(Q0 + R²·Q2)·Q1⁻¹`, kept as the
-    /// linear-convergence reference implementation that the equivalence tests pin
-    /// the logarithmic reduction against.  Returns `R` and the number of iterations.
-    ///
-    /// Even here no explicit inverse is formed: `Q1` is factorised once up front and
-    /// every step performs one right solve against the factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::NoConvergence`] if the iteration does not converge within
-    /// the configured budget.
-    pub fn rate_matrix_fixed_point(&self, qbd: &QbdMatrices) -> Result<(Matrix, usize)> {
-        let s = qbd.order();
-        let q0 = qbd.q0();
-        let q2 = qbd.q2();
-        let q1_lu = LuDecomposition::from_matrix(qbd.q1())?;
-        let mut ws = Workspace::new();
-        let mut r = Matrix::zeros(s, s);
-        let mut r_squared = ws.real_matrix(s, s);
-        let mut rhs = ws.real_matrix(s, s);
-        let mut next = ws.real_matrix(s, s);
-        for iteration in 1..=self.options.max_iterations {
-            r_squared.gemm(1.0, &r, &r, 0.0)?;
-            rhs.copy_from(&q0)?;
-            rhs.gemm(1.0, &r_squared, &q2, 1.0)?;
-            rhs.scale_mut(-1.0);
-            // next·Q1 = −(Q0 + R²·Q2)
-            q1_lu.solve_right_matrix_into(&rhs, &mut next, &mut ws)?;
-            let mut diff = 0.0_f64;
-            for (a, b) in next.as_slice().iter().zip(r.as_slice()) {
-                diff = diff.max((a - b).abs());
-            }
-            std::mem::swap(&mut r, &mut next);
-            if diff < self.options.tolerance {
-                return Ok((r, iteration));
-            }
-        }
-        Err(ModelError::NoConvergence {
-            algorithm: "matrix-geometric R iteration",
-            iterations: self.options.max_iterations,
-        })
     }
 
     /// Solves the model, returning the concrete [`MatrixGeometricSolution`].
@@ -528,19 +485,6 @@ mod tests {
                 assert!(r[(i, j)] > -1e-12);
             }
         }
-    }
-
-    #[test]
-    fn logarithmic_reduction_matches_fixed_point_iteration() {
-        let config = paper_config(3, 2.5);
-        let qbd = QbdMatrices::new(&config).unwrap();
-        let solver = MatrixGeometricSolver::default();
-        let (lr, depth) = solver.rate_matrix_with_depth(&qbd).unwrap();
-        let (fp, iterations) = solver.rate_matrix_fixed_point(&qbd).unwrap();
-        assert!(lr.approx_eq(&fp, 1e-10), "max diff {}", (&lr - &fp).max_abs());
-        // The whole point: quadratic vs linear convergence.
-        assert!(depth < 64, "reduction depth {depth}");
-        assert!(iterations > depth, "fixed point took {iterations}, reduction {depth}");
     }
 
     #[test]

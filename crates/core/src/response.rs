@@ -491,9 +491,9 @@ impl ResponseTransform {
         let order = self.order;
         let (kl, ku) = self.bandwidths;
         let use_banded = banded_profitable(order, kl, ku);
-        let mut phi_prev = workspace.complex_buffer(order);
-        let mut phi = workspace.complex_buffer(order);
-        let mut rhs = workspace.complex_buffer(order);
+        let mut phi_prev = workspace.buffer(order);
+        let mut phi = workspace.buffer(order);
+        let mut rhs = workspace.buffer(order);
         let mut total = Complex::ZERO;
         for (a, base) in self.boundary_bases.iter().enumerate() {
             let ahead: &[f64] = self.ahead_rates.get(a).map(Vec::as_slice).unwrap_or_default();
@@ -511,12 +511,12 @@ impl ResponseTransform {
                 lu.recycle(workspace);
                 solved?;
             } else {
-                let mut shifted = workspace.complex_matrix(order, order);
+                let mut shifted = workspace.matrix(order, order);
                 shifted.copy_from_real(base)?;
                 shifted.shift_diagonal(s)?;
                 let lu = CluDecomposition::from_matrix_with(shifted, pool)?;
                 lu.solve_into(&rhs, &mut phi)?;
-                workspace.release_complex_matrix(lu.into_matrix());
+                workspace.release_matrix(lu.into_matrix());
             }
             if let Some(level) = self.arrival_levels.get(a) {
                 for (p, value) in level.iter().zip(&phi) {
@@ -552,7 +552,7 @@ impl ResponseTransform {
                 lu.recycle(workspace);
                 solved?;
             } else {
-                let mut shifted = workspace.complex_matrix(order, order);
+                let mut shifted = workspace.matrix(order, order);
                 shifted.copy_from_real(&self.repeat_base)?;
                 shifted.shift_diagonal(s)?;
                 let lu = CluDecomposition::from_matrix_with(shifted, pool)?;
@@ -568,12 +568,12 @@ impl ResponseTransform {
                     }
                     std::mem::swap(&mut phi_prev, &mut phi);
                 }
-                workspace.release_complex_matrix(lu.into_matrix());
+                workspace.release_matrix(lu.into_matrix());
             }
         }
-        workspace.release_complex_buffer(phi_prev);
-        workspace.release_complex_buffer(phi);
-        workspace.release_complex_buffer(rhs);
+        workspace.release_buffer(phi_prev);
+        workspace.release_buffer(phi);
+        workspace.release_buffer(rhs);
         Ok(total)
     }
 

@@ -280,7 +280,7 @@ fn solve_boundary(
     let c_diag = qbd.c().diagonal();
     let u_mat_c = |level: u32| -> Result<CMatrix> {
         let mut m = u_mat(level);
-        m.scale_columns_real(&c_diag)?;
+        m.scale_columns(&c_diag)?;
         Ok(m)
     };
 

@@ -3,16 +3,50 @@
 //! The rewrite of [`MatrixGeometricSolver`] from the natural fixed-point iteration to
 //! Latouche–Ramaswamy logarithmic reduction must be a pure speed change: the `R`
 //! matrix, and everything derived from it, has to agree with the legacy iteration
-//! (retained as [`MatrixGeometricSolver::rate_matrix_fixed_point`]) to solver
-//! tolerance on arbitrary stable configurations — homogeneous and heterogeneous —
-//! and the full solution has to keep matching the spectral expansion, including at
-//! the `N = 24` heterogeneous scale the old kernels could not reach comfortably.
+//! (kept here as the oracle [`rate_matrix_fixed_point`]) to solver tolerance on
+//! arbitrary stable configurations — homogeneous and heterogeneous — and the full
+//! solution has to keep matching the spectral expansion, including at the `N = 24`
+//! heterogeneous scale the old kernels could not reach comfortably.
 
 use proptest::prelude::*;
 use urs_core::{
-    MatrixGeometricSolver, QbdMatrices, QueueSolution, ServerClass, ServerLifecycle,
-    SpectralExpansionSolver, SystemConfig,
+    MatrixGeometricOptions, MatrixGeometricSolver, QbdMatrices, QueueSolution, ServerClass,
+    ServerLifecycle, SpectralExpansionSolver, SystemConfig,
 };
+use urs_linalg::{LuDecomposition, Matrix, Workspace};
+
+/// The natural fixed-point iteration `R ← −(Q0 + R²·Q2)·Q1⁻¹` under the default
+/// solver options: the linear-convergence reference the logarithmic reduction is
+/// pinned against.  Returns `R` and the number of iterations, or `None` if the
+/// iteration does not converge within the budget.
+///
+/// No explicit inverse is formed: `Q1` is factorised once up front and every step
+/// performs one right solve against the factors.
+fn rate_matrix_fixed_point(qbd: &QbdMatrices) -> Option<(Matrix, usize)> {
+    let options = MatrixGeometricOptions::default();
+    let s = qbd.order();
+    let (q0, q2) = (qbd.q0(), qbd.q2());
+    let q1_lu = LuDecomposition::from_matrix(qbd.q1()).ok()?;
+    let mut ws = Workspace::new();
+    let mut r = Matrix::zeros(s, s);
+    let mut r_squared = Matrix::zeros(s, s);
+    let mut rhs = Matrix::zeros(s, s);
+    let mut next = Matrix::zeros(s, s);
+    for iteration in 1..=options.max_iterations {
+        r_squared.gemm(1.0, &r, &r, 0.0).ok()?;
+        rhs.copy_from(&q0).ok()?;
+        rhs.gemm(1.0, &r_squared, &q2, 1.0).ok()?;
+        rhs.scale_mut(-1.0);
+        // next·Q1 = −(Q0 + R²·Q2)
+        q1_lu.solve_right_matrix_into(&rhs, &mut next, &mut ws).ok()?;
+        let diff = (&next - &r).max_abs();
+        std::mem::swap(&mut r, &mut next);
+        if diff < options.tolerance {
+            return Some((r, iteration));
+        }
+    }
+    None
+}
 
 fn paper_config(servers: usize, lambda: f64) -> SystemConfig {
     SystemConfig::new(servers, lambda, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap()
@@ -37,7 +71,7 @@ fn reduction_and_fixed_point_agree_on_the_paper_model() {
         let qbd = QbdMatrices::new(&paper_config(servers, lambda)).unwrap();
         let solver = MatrixGeometricSolver::default();
         let (lr, depth) = solver.rate_matrix_with_depth(&qbd).unwrap();
-        let (fp, iterations) = solver.rate_matrix_fixed_point(&qbd).unwrap();
+        let (fp, iterations) = rate_matrix_fixed_point(&qbd).unwrap();
         let diff = (&lr - &fp).max_abs();
         assert!(diff < 1e-10, "N={servers}, λ={lambda}: |R_lr − R_fp| = {diff}");
         assert!(
@@ -49,11 +83,22 @@ fn reduction_and_fixed_point_agree_on_the_paper_model() {
 }
 
 #[test]
+fn logarithmic_reduction_matches_fixed_point_iteration() {
+    let qbd = QbdMatrices::new(&paper_config(3, 2.5)).unwrap();
+    let (lr, depth) = MatrixGeometricSolver::default().rate_matrix_with_depth(&qbd).unwrap();
+    let (fp, iterations) = rate_matrix_fixed_point(&qbd).unwrap();
+    assert!(lr.approx_eq(&fp, 1e-10), "max diff {}", (&lr - &fp).max_abs());
+    // The whole point: quadratic vs linear convergence.
+    assert!(depth < 64, "reduction depth {depth}");
+    assert!(iterations > depth, "fixed point took {iterations}, reduction {depth}");
+}
+
+#[test]
 fn reduction_and_fixed_point_agree_on_mixed_fleets() {
     let qbd = QbdMatrices::new(&mixed_fleet(3, 4.0)).unwrap();
     let solver = MatrixGeometricSolver::default();
     let (lr, _) = solver.rate_matrix_with_depth(&qbd).unwrap();
-    let (fp, _) = solver.rate_matrix_fixed_point(&qbd).unwrap();
+    let (fp, _) = rate_matrix_fixed_point(&qbd).unwrap();
     assert!((&lr - &fp).max_abs() < 1e-10);
     // Both must satisfy the defining quadratic to solver accuracy.
     let residual = &(&qbd.q0() + &lr.matmul(&qbd.q1()).unwrap())
@@ -99,7 +144,7 @@ proptest! {
         let qbd = QbdMatrices::new(&config).unwrap();
         let solver = MatrixGeometricSolver::default();
         let (lr, depth) = solver.rate_matrix_with_depth(&qbd).unwrap();
-        let (fp, iterations) = solver.rate_matrix_fixed_point(&qbd).unwrap();
+        let (fp, iterations) = rate_matrix_fixed_point(&qbd).unwrap();
         prop_assert!((&lr - &fp).max_abs() < 1e-9);
         prop_assert!(depth <= iterations);
     }

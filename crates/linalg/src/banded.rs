@@ -1,28 +1,33 @@
-//! Banded real matrices: packed storage, banded gemm/matvec, and banded LU.
+//! Banded matrices over any [`Scalar`](crate::Scalar): packed storage, banded
+//! gemm/matvec, and banded LU.
 //!
 //! The QBD generator blocks of the Palmer–Mitrani model are narrow bands — the
 //! local transition matrix couples mode `(n_op, n_up)` only to neighbours, so in
 //! the lexicographic mode order every nonzero sits within `N + 1` diagonals of
 //! the main one, and `B = λI` / the departure matrix `C` are diagonal.  Dense
 //! kernels already *skip* those zeros element-wise; this module stops paying for
-//! them at all by storing only the band and factoring only inside it.
+//! them at all by storing only the band and factoring only inside it.  The
+//! matrix-geometric solver factors real bands ([`BandedMatrix`], [`BandedLu`]);
+//! the spectral solver factors `Q(z)ᵀ` at every eigenvalue `z`, a complex band
+//! with the union bandwidth of the generator blocks ([`CBandedMatrix`],
+//! [`CBandedLu`]).
 //!
 //! # Storage
 //!
-//! [`BandedMatrix`] packs an `n × n` matrix with `kl` subdiagonals and `ku`
+//! [`BandMatrix`] packs an `n × n` matrix with `kl` subdiagonals and `ku`
 //! superdiagonals row-major into `n` rows of width `kl + ku + 1`: element
 //! `(i, j)` lives at `data[i·w + (j − i + kl)]`, so the main diagonal sits at
 //! column offset `kl` of every packed row.  Out-of-band slots at the edges stay
-//! exactly `+0.0` and are never read by the kernels.
+//! exactly zero and are never read by the kernels.
 //!
 //! # Bit-identity with the dense kernels
 //!
 //! Every kernel here performs, per output element, the identical sequence of
 //! floating-point operations the dense counterpart performs on the same
 //! operand with its zeros materialised — ascending-`k` accumulation in
-//! [`BandedMatrix::gemm_into`] (the dense tiling never reorders a single
+//! [`BandMatrix::gemm_into`] (the dense tiling never reorders a single
 //! element's terms), and the textbook right-looking elimination in
-//! [`BandedLu`] (the dense blocked LU is bit-identical to the unblocked one by
+//! [`BandLu`] (the dense blocked LU is bit-identical to the unblocked one by
 //! construction).  The one structural difference is pivoting bookkeeping: the
 //! dense factorisation swaps whole rows eagerly, while the banded one uses the
 //! LAPACK `gbtrf` arrangement — only the `U`-parts of rows are exchanged and
@@ -39,23 +44,34 @@
 //! bit-identity therefore assumes right-hand sides free of `-0.0`, which holds
 //! for every probability-vector and generator-block RHS the solvers produce.
 
+use crate::complex::Complex;
 use crate::error::LinalgError;
-use crate::matrix::Matrix;
+use crate::lu::PIVOT_EPS;
+use crate::matrix::{dot, DenseMatrix};
+use crate::scalar::Scalar;
 use crate::workspace::Workspace;
 use crate::Result;
 
-/// Relative threshold below which a pivot is considered zero (same constant as
-/// the dense [`LuDecomposition`](crate::LuDecomposition)).
-const PIVOT_EPS: f64 = 1e-300;
-
-/// A real `n × n` matrix with `kl` subdiagonals and `ku` superdiagonals in
-/// packed row-major band storage.
+/// An `n × n` matrix with `kl` subdiagonals and `ku` superdiagonals in packed
+/// row-major band storage.
 ///
 /// Construction is cheap (`O(n·(kl + ku + 1))` storage) and the kernels —
 /// [`matvec_into`](Self::matvec_into), [`gemm_into`](Self::gemm_into), and the
-/// [`BandedLu`] factorisation — cost `O(n·w)` / `O(n·w·m)` / `O(n·w²)` instead
+/// [`BandLu`] factorisation — cost `O(n·w)` / `O(n·w·m)` / `O(n·w²)` instead
 /// of their dense `O(n²)` / `O(n²·m)` / `O(n³)` counterparts, while producing
 /// bit-identical results on the same nonzero pattern (see the module docs).
+/// The two instantiations are named [`BandedMatrix`] and [`CBandedMatrix`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BandMatrix<T: Scalar> {
+    n: usize,
+    kl: usize,
+    ku: usize,
+    /// Packed rows of width `kl + ku + 1`; element `(i, j)` at
+    /// `data[i * width + (j + kl - i)]`.
+    data: Vec<T>,
+}
+
+/// A real banded matrix.
 ///
 /// # Example
 ///
@@ -73,33 +89,23 @@ const PIVOT_EPS: f64 = 1e-300;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandedMatrix {
-    n: usize,
-    kl: usize,
-    ku: usize,
-    /// Packed rows of width `kl + ku + 1`; element `(i, j)` at
-    /// `data[i * width + (j + kl - i)]`.
-    data: Vec<f64>,
-}
+pub type BandedMatrix = BandMatrix<f64>;
 
-impl BandedMatrix {
+/// A complex banded matrix.
+pub type CBandedMatrix = BandMatrix<Complex>;
+
+impl<T: Scalar> BandMatrix<T> {
     /// Creates an `n × n` banded matrix of zeros with the given bandwidths
     /// (clamped to `n.saturating_sub(1)`).
     pub fn zeros(n: usize, kl: usize, ku: usize) -> Self {
         let cap = n.saturating_sub(1);
         let (kl, ku) = (kl.min(cap), ku.min(cap));
-        BandedMatrix { n, kl, ku, data: vec![0.0; n * (kl + ku + 1)] }
+        BandMatrix { n, kl, ku, data: vec![T::ZERO; n * (kl + ku + 1)] }
     }
 
     /// Creates a banded matrix by evaluating `f(i, j)` at every in-band
     /// position; out-of-band elements are zero.
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(
-        n: usize,
-        kl: usize,
-        ku: usize,
-        mut f: F,
-    ) -> Self {
+    pub fn from_fn<F: FnMut(usize, usize) -> T>(n: usize, kl: usize, ku: usize, mut f: F) -> Self {
         let mut m = Self::zeros(n, kl, ku);
         let (kl, ku, w) = (m.kl, m.ku, m.width());
         for i in 0..n {
@@ -119,7 +125,7 @@ impl BandedMatrix {
     /// [`LinalgError::InvalidInput`] if any element outside the stated band is
     /// nonzero — the caller's bandwidth claim must be exact so the packed and
     /// dense operands describe the same matrix.
-    pub fn from_dense(a: &Matrix, kl: usize, ku: usize) -> Result<Self> {
+    pub fn from_dense(a: &DenseMatrix<T>, kl: usize, ku: usize) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
@@ -128,9 +134,8 @@ impl BandedMatrix {
         let (kl, ku) = (kl.min(cap), ku.min(cap));
         for i in 0..n {
             for j in 0..n {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero structure test: packing must reject any nonzero outside the claimed band")
                 // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
-                if (j + kl < i || j > i + ku) && a[(i, j)] != 0.0 {
+                if (j + kl < i || j > i + ku) && a[(i, j)] != T::ZERO {
                     return Err(LinalgError::InvalidInput(format!(
                         "element ({i},{j}) is outside the claimed band (kl={kl}, ku={ku}) but nonzero"
                     )));
@@ -145,14 +150,13 @@ impl BandedMatrix {
     /// the smallest `(kl, ku)` such that every nonzero of `a` satisfies
     /// `i − kl ≤ j ≤ i + ku`.  Returns `(0, 0)` for diagonal (and empty)
     /// matrices.
-    pub fn bandwidths_of(a: &Matrix) -> (usize, usize) {
+    pub fn bandwidths_of(a: &DenseMatrix<T>) -> (usize, usize) {
         let n = a.rows().min(a.cols());
         let (mut kl, mut ku) = (0usize, 0usize);
         for i in 0..n {
             for j in 0..n {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero structure probe; any nonzero, however small, widens the band")
                 // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
-                if a[(i, j)] != 0.0 {
+                if a[(i, j)] != T::ZERO {
                     if j < i {
                         kl = kl.max(i - j);
                     } else {
@@ -188,16 +192,16 @@ impl BandedMatrix {
         self.kl + self.ku + 1
     }
 
-    /// Element access; out-of-band positions read as `0.0`.
+    /// Element access; out-of-band positions read as zero.
     ///
     /// # Panics
     ///
     /// Panics if `i` or `j` is out of bounds.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub fn get(&self, i: usize, j: usize) -> T {
         assert!(i < self.n && j < self.n, "index ({i},{j}) out of bounds for dim {}", self.n);
         if j + self.kl < i || j > i + self.ku {
-            0.0
+            T::ZERO
         } else {
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
             self.data[i * self.width() + (j + self.kl - i)]
@@ -210,7 +214,7 @@ impl BandedMatrix {
     ///
     /// Panics if the position is out of bounds or outside the band.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, value: f64) {
+    pub fn set(&mut self, i: usize, j: usize, value: T) {
         assert!(i < self.n && j < self.n, "index ({i},{j}) out of bounds for dim {}", self.n);
         assert!(
             j + self.kl >= i && j <= i + self.ku,
@@ -224,26 +228,26 @@ impl BandedMatrix {
     }
 
     /// Expands to a dense matrix (for tests, diagnostics and dense fallbacks).
-    pub fn to_dense(&self) -> Matrix {
-        Matrix::from_fn(self.n, self.n, |i, j| self.get(i, j))
+    pub fn to_dense(&self) -> DenseMatrix<T> {
+        DenseMatrix::from_fn(self.n, self.n, |i, j| self.get(i, j))
     }
 
-    /// Maximum absolute value of any in-band element.
+    /// Maximum modulus of any in-band element.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.modulus()))
     }
 
     /// Banded matrix–vector product `out = self · v`, allocation-free.
     ///
     /// Per output row the in-band terms accumulate in ascending column order —
-    /// the same order the dense [`Matrix::matvec`] uses, with the out-of-band
+    /// the same order the dense [`DenseMatrix::matvec`] uses, with the out-of-band
     /// `0·vⱼ` no-ops elided (see the module docs for the `-0.0` caveat).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `v` or `out` has the
     /// wrong length.
-    pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
+    pub fn matvec_into(&self, v: &[T], out: &mut [T]) -> Result<()> {
         let n = self.n;
         if v.len() != n || out.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -260,7 +264,7 @@ impl BandedMatrix {
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
             let row = &self.data[i * w + (j0 + self.kl - i)..i * w + (j1 - 1 + self.kl - i) + 1];
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
-            *oi = row.iter().zip(&v[j0..j1]).map(|(a, b)| a * b).sum();
+            *oi = dot(row, &v[j0..j1]);
         }
         // urs-analyze: end(no_alloc)
         Ok(())
@@ -270,7 +274,7 @@ impl BandedMatrix {
     /// right operand and output, allocation-free.
     ///
     /// Per output element the `k` terms accumulate in ascending order with the
-    /// same `alpha·a == 0.0` skip as the dense [`Matrix::gemm`], so on the same
+    /// same `alpha·a == 0` skip as the dense [`DenseMatrix::gemm`], so on the same
     /// nonzero pattern the results agree bit for bit; the band merely bounds
     /// which `k` are visited at all.
     ///
@@ -278,7 +282,13 @@ impl BandedMatrix {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] unless
     /// `c.shape() == (self.dim(), b.cols())` and `b.rows() == self.dim()`.
-    pub fn gemm_into(&self, alpha: f64, b: &Matrix, beta: f64, c: &mut Matrix) -> Result<()> {
+    pub fn gemm_into(
+        &self,
+        alpha: T,
+        b: &DenseMatrix<T>,
+        beta: T,
+        c: &mut DenseMatrix<T>,
+    ) -> Result<()> {
         let n = self.n;
         if b.rows() != n || c.rows() != n || c.cols() != b.cols() {
             return Err(LinalgError::DimensionMismatch {
@@ -292,17 +302,14 @@ impl BandedMatrix {
         let bd = b.as_slice();
         let cd = c.as_mut_slice();
         // urs-analyze: begin(no_alloc)
-        // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-        if beta == 0.0 {
-            cd.fill(0.0);
-        // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-        } else if beta != 1.0 {
+        if beta == T::ZERO {
+            cd.fill(T::ZERO);
+        } else if beta != T::ONE {
             for x in cd.iter_mut() {
                 *x *= beta;
             }
         }
-        // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-        if alpha == 0.0 || m == 0 {
+        if alpha == T::ZERO || m == 0 {
             return Ok(());
         }
         for i in 0..n {
@@ -314,8 +321,7 @@ impl BandedMatrix {
             let c_row = &mut cd[i * m..(i + 1) * m];
             for (offset, &av) in a_row.iter().enumerate() {
                 let aip = alpha * av;
-                // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-                if aip == 0.0 {
+                if aip == T::ZERO {
                     continue;
                 }
                 let p = j0 + offset;
@@ -334,9 +340,9 @@ impl BandedMatrix {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BandedLu::new`].
-    pub fn lu(&self) -> Result<BandedLu> {
-        BandedLu::new(self)
+    /// Same conditions as [`BandLu::new`].
+    pub fn lu(&self) -> Result<BandLu<T>> {
+        BandLu::new(self)
     }
 }
 
@@ -348,8 +354,31 @@ impl BandedMatrix {
 /// Multipliers are stored in the packed slot where they were created (rows are
 /// *not* L-swapped) and the recorded interchanges are replayed inside the
 /// solves, which makes every solve bit-identical to the dense
-/// [`LuDecomposition`](crate::LuDecomposition) on the same matrix (module docs
-/// give the argument and the `-0.0` caveat).
+/// [`DenseLu`](crate::DenseLu) on the same matrix (module docs give the argument
+/// and the `-0.0` caveat).  Singularity bookkeeping matches the dense factor: the
+/// first underflowing pivot column and the smallest pivot modulus are both
+/// recorded, and a near-singular factor remains usable through
+/// [`solve_regularized_into`](Self::solve_regularized_into) — the
+/// inverse-iteration kernel of the spectral solver.  The two instantiations are
+/// named [`BandedLu`] and [`CBandedLu`].
+#[derive(Debug, Clone)]
+pub struct BandLu<T: Scalar> {
+    n: usize,
+    /// Subdiagonals of `A` (multiplier window height).
+    kl: usize,
+    /// Superdiagonals of `U` including pivoting fill: `min(kl + ku, n − 1)`.
+    bw: usize,
+    /// Packed working rows of width `kl + bw + 1`, diagonal at offset `kl`.
+    data: Vec<T>,
+    /// `piv[k]` is the row exchanged with row `k` at elimination step `k`.
+    piv: Vec<usize>,
+    perm_sign: f64,
+    singular_at: Option<usize>,
+    /// Index of the smallest pivot (by modulus) and its modulus.
+    min_pivot: (usize, f64),
+}
+
+/// Banded LU factorisation of a real matrix.
 ///
 /// # Example
 ///
@@ -365,22 +394,12 @@ impl BandedMatrix {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct BandedLu {
-    n: usize,
-    /// Subdiagonals of `A` (multiplier window height).
-    kl: usize,
-    /// Superdiagonals of `U` including pivoting fill: `min(kl + ku, n − 1)`.
-    bw: usize,
-    /// Packed working rows of width `kl + bw + 1`, diagonal at offset `kl`.
-    data: Vec<f64>,
-    /// `piv[k]` is the row exchanged with row `k` at elimination step `k`.
-    piv: Vec<usize>,
-    perm_sign: f64,
-    singular_at: Option<usize>,
-}
+pub type BandedLu = BandLu<f64>;
 
-impl BandedLu {
+/// Banded LU factorisation of a complex matrix.
+pub type CBandedLu = BandLu<Complex>;
+
+impl<T: Scalar> BandLu<T> {
     /// Factorises a banded matrix, rejecting singular input.
     ///
     /// # Errors
@@ -388,11 +407,9 @@ impl BandedLu {
     /// Returns [`LinalgError::InvalidInput`] for empty or non-finite input and
     /// [`LinalgError::Singular`] when a pivot underflows — with the same pivot
     /// index the dense factorisation reports.
-    pub fn new(a: &BandedMatrix) -> Result<Self> {
+    pub fn new(a: &BandMatrix<T>) -> Result<Self> {
         let lu = Self::factor_allow_singular(a, None)?;
-        if let Some(pivot) = lu.singular_at {
-            return Err(LinalgError::Singular { pivot });
-        }
+        lu.ensure_regular()?;
         Ok(lu)
     }
 
@@ -404,12 +421,11 @@ impl BandedLu {
     /// # Errors
     ///
     /// Same conditions as [`new`](Self::new).
-    pub fn new_pooled(a: &BandedMatrix, ws: &mut Workspace) -> Result<Self> {
+    pub fn new_pooled(a: &BandMatrix<T>, ws: &mut Workspace) -> Result<Self> {
         let lu = Self::factor_allow_singular(a, Some(ws))?;
-        if let Some(pivot) = lu.singular_at {
-            let pivot_err = pivot;
+        if let Err(e) = lu.ensure_regular() {
             lu.recycle(ws);
-            return Err(LinalgError::Singular { pivot: pivot_err });
+            return Err(e);
         }
         Ok(lu)
     }
@@ -421,16 +437,26 @@ impl BandedLu {
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidInput`] for empty or non-finite input.
-    pub fn new_allow_singular(a: &BandedMatrix) -> Result<Self> {
+    pub fn new_allow_singular(a: &BandMatrix<T>) -> Result<Self> {
         Self::factor_allow_singular(a, None)
+    }
+
+    /// [`new_allow_singular`](Self::new_allow_singular) with the working
+    /// storage borrowed from `ws`; return it with [`recycle`](Self::recycle).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`new_allow_singular`](Self::new_allow_singular).
+    pub fn new_allow_singular_pooled(a: &BandMatrix<T>, ws: &mut Workspace) -> Result<Self> {
+        Self::factor_allow_singular(a, Some(ws))
     }
 
     /// Returns the working storage to `ws` for reuse.
     pub fn recycle(self, ws: &mut Workspace) {
-        ws.release_real_buffer(self.data);
+        ws.release_buffer(self.data);
     }
 
-    fn factor_allow_singular(a: &BandedMatrix, ws: Option<&mut Workspace>) -> Result<Self> {
+    fn factor_allow_singular(a: &BandMatrix<T>, ws: Option<&mut Workspace>) -> Result<Self> {
         let n = a.n;
         if n == 0 {
             return Err(LinalgError::InvalidInput("matrix must be non-empty".into()));
@@ -443,8 +469,8 @@ impl BandedLu {
         let w = kl + bw + 1;
         let aw = a.width();
         let mut data = match ws {
-            Some(ws) => ws.real_buffer(n * w),
-            None => vec![0.0; n * w],
+            Some(ws) => ws.buffer(n * w),
+            None => vec![T::ZERO; n * w],
         };
         // Copy the band into the widened working rows; the extra `bw − ku`
         // fill columns start as exact zeros, as they are in the dense factor.
@@ -460,6 +486,7 @@ impl BandedLu {
         let mut piv = Vec::with_capacity(n);
         let mut perm_sign = 1.0;
         let mut singular_at = None;
+        let mut min_pivot = (0usize, f64::INFINITY);
         let d = data.as_mut_slice();
 
         // Unblocked right-looking elimination (the dense blocked kernel is
@@ -476,10 +503,10 @@ impl BandedLu {
             // strict `>` against a non-negative running max never selects.
             let mut pivot_t = 0usize;
             // urs-analyze: allow(slice_index, reason = "row k, diagonal slot kl: in range because every working row has width kl + bw + 1")
-            let mut pivot_val = d[k * w + kl].abs();
+            let mut pivot_val = d[k * w + kl].modulus();
             for t in 1..=bl {
                 // urs-analyze: allow(slice_index, reason = "row k+t ≤ n−1 and column offset kl − t ≥ 0 by the loop bound bl = min(kl, n−1−k)")
-                let v = d[(k + t) * w + kl - t].abs();
+                let v = d[(k + t) * w + kl - t].modulus();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_t = t;
@@ -500,17 +527,18 @@ impl BandedLu {
                 row_k.swap_with_slice(row_t);
                 perm_sign = -perm_sign;
             }
-            // urs-analyze: allow(slice_index, reason = "diagonal slot of row k, in range as above")
-            let pivot = d[k * w + kl];
-            if pivot.abs() < PIVOT_EPS {
-                if singular_at.is_none() {
-                    singular_at = Some(k);
-                }
+            if pivot_val < min_pivot.1 {
+                min_pivot = (k, pivot_val);
+            }
+            if pivot_val < PIVOT_EPS {
+                singular_at = singular_at.or(Some(k));
                 continue;
             }
             if bl == 0 {
                 continue;
             }
+            // urs-analyze: allow(slice_index, reason = "diagonal slot of row k, in range as above")
+            let pivot = d[k * w + kl];
             // Multipliers and the rank-1 update of the rows below, each
             // against the pivot row's U-part — identical per-row arithmetic to
             // the dense elimination, restricted to the band.
@@ -524,8 +552,7 @@ impl BandedLu {
                 let factor = row[off] / pivot;
                 // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
                 row[off] = factor;
-                // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-                if factor != 0.0 {
+                if factor != T::ZERO {
                     // urs-analyze: allow(slice_index, reason = "update window off+1..=off+u_extent stays within the row: off + u_extent ≤ kl + bw")
                     for (x, &u) in row[off + 1..off + u_extent + 1].iter_mut().zip(u_row) {
                         *x -= factor * u;
@@ -534,7 +561,7 @@ impl BandedLu {
             }
         }
         // urs-analyze: end(no_alloc)
-        Ok(BandedLu { n, kl, bw, data, piv, perm_sign, singular_at })
+        Ok(BandLu { n, kl, bw, data, piv, perm_sign, singular_at, min_pivot })
     }
 
     /// Dimension of the factorised matrix.
@@ -548,13 +575,19 @@ impl BandedLu {
         self.singular_at.is_some()
     }
 
+    /// Modulus of the smallest pivot encountered; a small value indicates
+    /// (near) singularity.
+    pub fn smallest_pivot(&self) -> f64 {
+        self.min_pivot.1
+    }
+
     /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
+    pub fn determinant(&self) -> T {
         if self.singular_at.is_some() {
-            return 0.0;
+            return T::ZERO;
         }
         let w = self.kl + self.bw + 1;
-        let mut det = self.perm_sign;
+        let mut det = T::from_real(self.perm_sign);
         for i in 0..self.n {
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
             det *= self.data[i * w + self.kl];
@@ -574,8 +607,8 @@ impl BandedLu {
     /// # Errors
     ///
     /// Same conditions as [`solve_into`](Self::solve_into).
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n];
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
+        let mut x = vec![T::ZERO; self.n];
         self.solve_into(b, &mut x)?;
         Ok(x)
     }
@@ -592,16 +625,48 @@ impl BandedLu {
     ///
     /// Returns [`LinalgError::Singular`] if the matrix was singular, or
     /// [`LinalgError::DimensionMismatch`] on wrong lengths.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<()> {
         self.ensure_regular()?;
-        let n = self.n;
-        if b.len() != n || x.len() != n {
+        self.check_lengths(b.len(), x.len())?;
+        self.substitute(b, x, None);
+        Ok(())
+    }
+
+    /// Solves `(A with tiny pivots floored) x = b` — the inverse-iteration
+    /// kernel: near-singular `U` diagonals below `floor` in modulus are
+    /// replaced by the real value `floor`, so the solve amplifies the
+    /// null-space direction instead of overflowing.  Deterministic: the floor
+    /// is applied per-element by value, independent of iteration count or
+    /// thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] on wrong lengths or
+    /// [`LinalgError::InvalidInput`] for a non-positive floor.
+    pub fn solve_regularized_into(&self, b: &[T], x: &mut [T], floor: f64) -> Result<()> {
+        if floor.is_nan() || floor <= 0.0 {
+            return Err(LinalgError::InvalidInput("regularization floor must be positive".into()));
+        }
+        self.check_lengths(b.len(), x.len())?;
+        self.substitute(b, x, Some(floor));
+        Ok(())
+    }
+
+    fn check_lengths(&self, b: usize, x: usize) -> Result<()> {
+        if b != self.n || x != self.n {
             return Err(LinalgError::DimensionMismatch {
                 operation: "banded LU solve",
-                left: (n, n),
-                right: (b.len().max(x.len()), 1),
+                left: (self.n, self.n),
+                right: (b.max(x), 1),
             });
         }
+        Ok(())
+    }
+
+    /// Forward/backward substitution shared by the exact and regularized
+    /// solves; `floor` is `None` for the exact path.
+    fn substitute(&self, b: &[T], x: &mut [T], floor: Option<f64>) {
+        let n = self.n;
         let w = self.kl + self.bw + 1;
         let d = &self.data;
         x.copy_from_slice(b);
@@ -627,19 +692,25 @@ impl BandedLu {
             // urs-analyze: allow(slice_index, reason = "x[i] with i < n; the zip below bounds the U traversal to u_extent terms")
             let mut sum = x[i];
             // urs-analyze: allow(slice_index, reason = "x[i+1..i+1+u_extent] is in range because i + u_extent ≤ n − 1")
-            for (u, &xj) in row[1..].iter().zip(x[i + 1..].iter()) {
+            for (&u, &xj) in row[1..].iter().zip(x[i + 1..].iter()) {
                 sum -= u * xj;
             }
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
-            x[i] = sum / row[0];
+            let mut diag = row[0];
+            if let Some(f) = floor {
+                if diag.modulus() < f {
+                    diag = T::from_real(f);
+                }
+            }
+            // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
+            x[i] = sum / diag;
         }
         // urs-analyze: end(no_alloc)
-        Ok(())
     }
 
     /// Solves `A X = B` into a caller-provided matrix (no allocation) with
-    /// whole-row operations — the banded twin of the dense
-    /// [`solve_matrix_into`](crate::LuDecomposition::solve_matrix_into),
+    /// whole-row operations — the banded form of the dense
+    /// [`solve_matrix_into`](crate::DenseLu::solve_matrix_into),
     /// including its `≠ 0` skips, with interchanges replayed in elimination
     /// order.
     ///
@@ -647,7 +718,7 @@ impl BandedLu {
     ///
     /// Same as [`solve_into`](Self::solve_into), plus shape checks on `B` and
     /// `out`.
-    pub fn solve_matrix_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
+    pub fn solve_matrix_into(&self, b: &DenseMatrix<T>, out: &mut DenseMatrix<T>) -> Result<()> {
         self.ensure_regular()?;
         let n = self.n;
         if b.rows() != n || out.shape() != b.shape() {
@@ -681,8 +752,7 @@ impl BandedLu {
             for (t, xrow) in lower.chunks_exact_mut(m).take(bl).enumerate() {
                 // urs-analyze: allow(slice_index, reason = "multiplier slot of row k+t+1 at offset kl − (t+1), in range as in the factorisation")
                 let l = d[(k + t + 1) * w + self.kl - (t + 1)];
-                // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-                if l != 0.0 {
+                if l != T::ZERO {
                     for (xt, &v) in xrow.iter_mut().zip(xk) {
                         *xt -= l * v;
                     }
@@ -698,9 +768,8 @@ impl BandedLu {
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
             let xi = &mut head[i * m..];
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
-            for (j, u) in row[1..].iter().enumerate() {
-                // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-                if *u != 0.0 {
+            for (j, &u) in row[1..].iter().enumerate() {
+                if u != T::ZERO {
                     // urs-analyze: allow(slice_index, reason = "RHS row i+1+j with j < u_extent, hence i+1+j ≤ n−1")
                     let xj = &tail[j * m..(j + 1) * m];
                     for (t, &v) in xi.iter_mut().zip(xj) {
@@ -722,7 +791,7 @@ impl BandedLu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lu::LuDecomposition;
+    use crate::{DenseLu, LuDecomposition, Matrix};
 
     fn rng(seed: u64) -> impl FnMut() -> f64 {
         let mut s = seed;
@@ -732,21 +801,97 @@ mod tests {
         }
     }
 
-    fn random_banded(n: usize, kl: usize, ku: usize, seed: u64) -> BandedMatrix {
+    /// Test-side helpers over both scalars: a pseudo-random draw (a complex
+    /// draw takes two consecutive reals) and the bit pattern for exact
+    /// comparisons.
+    trait Draw: Scalar {
+        fn draw(next: &mut impl FnMut() -> f64) -> Self;
+        fn bits(self) -> [u64; 2];
+    }
+
+    impl Draw for f64 {
+        fn draw(next: &mut impl FnMut() -> f64) -> f64 {
+            next()
+        }
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+
+    impl Draw for Complex {
+        fn draw(next: &mut impl FnMut() -> f64) -> Complex {
+            Complex::new(next(), next())
+        }
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+
+    fn bits<T: Draw>(xs: &[T]) -> Vec<[u64; 2]> {
+        xs.iter().map(|&x| x.bits()).collect()
+    }
+
+    fn random_banded<T: Draw>(n: usize, kl: usize, ku: usize, seed: u64) -> BandMatrix<T> {
         let mut next = rng(seed);
-        BandedMatrix::from_fn(n, kl, ku, |i, j| {
-            let v = next();
+        BandMatrix::from_fn(n, kl, ku, |i, j| {
+            let v = T::draw(&mut next);
             if i == j {
-                v + 4.0
+                v + T::from_real(4.0)
             } else {
                 v
             }
         })
     }
 
+    /// Banded and dense matvec agree bitwise on a vector drawn from `next`.
+    fn assert_matvec_matches_dense<T: Draw>(a: &BandMatrix<T>, next: &mut impl FnMut() -> f64) {
+        let n = a.dim();
+        let v: Vec<T> = (0..n).map(|_| T::draw(next)).collect();
+        let mut y = vec![T::ZERO; n];
+        a.matvec_into(&v, &mut y).unwrap();
+        assert_eq!(bits(&y), bits(&a.to_dense().matvec(&v).unwrap()));
+    }
+
+    /// Banded and dense LU agree bitwise on the determinant and a solve.
+    fn assert_factor_and_solve_match_dense<T: Draw>(
+        a: &BandMatrix<T>,
+        next: &mut impl FnMut() -> f64,
+    ) -> (BandLu<T>, DenseLu<T>) {
+        let n = a.dim();
+        let blu = a.lu().unwrap();
+        let dlu = DenseLu::new(&a.to_dense()).unwrap();
+        assert_eq!(blu.determinant().bits(), dlu.determinant().bits());
+        let b: Vec<T> = (0..n).map(|_| T::draw(next)).collect();
+        let mut xb = vec![T::ZERO; n];
+        let mut xd = vec![T::ZERO; n];
+        blu.solve_into(&b, &mut xb).unwrap();
+        dlu.solve_into(&b, &mut xd).unwrap();
+        assert_eq!(bits(&xb), bits(&xd), "n={n} kl={} ku={}", a.kl, a.ku);
+        (blu, dlu)
+    }
+
+    /// Both factorisations of `a` fail at the same singular pivot.
+    fn assert_singular_semantics_match_dense<T: Draw>(a: &BandMatrix<T>) {
+        let dense = a.to_dense();
+        let db = BandLu::new(a).unwrap_err();
+        let dd = DenseLu::new(&dense).unwrap_err();
+        match (db, dd) {
+            (LinalgError::Singular { pivot: p }, LinalgError::Singular { pivot: q }) => {
+                assert_eq!(p, q)
+            }
+            other => panic!("expected Singular from both, got {other:?}"),
+        }
+        let blu = BandLu::new_allow_singular(a).unwrap();
+        let dlu = DenseLu::new_allow_singular(&dense).unwrap();
+        assert!(blu.is_singular());
+        assert_eq!(blu.smallest_pivot().to_bits(), dlu.smallest_pivot().to_bits());
+        assert_eq!(blu.determinant(), T::ZERO);
+        assert!(blu.solve(&vec![T::ONE; a.dim()]).is_err());
+    }
+
     #[test]
     fn packing_round_trips_and_rejects_out_of_band() {
-        let a = random_banded(7, 2, 3, 1);
+        let a = random_banded::<f64>(7, 2, 3, 1);
         let dense = a.to_dense();
         let packed = BandedMatrix::from_dense(&dense, 2, 3).unwrap();
         assert_eq!(packed, a);
@@ -760,24 +905,19 @@ mod tests {
     fn matvec_and_gemm_match_dense_bitwise() {
         for &(n, kl, ku) in &[(1usize, 0usize, 0usize), (5, 0, 2), (6, 3, 0), (9, 2, 2), (8, 7, 7)]
         {
-            let a = random_banded(n, kl, ku, 7 + n as u64);
-            let dense = a.to_dense();
+            let a = random_banded::<f64>(n, kl, ku, 7 + n as u64);
             let mut next = rng(99);
-            let v: Vec<f64> = (0..n).map(|_| next()).collect();
-            let mut y = vec![0.0; n];
-            a.matvec_into(&v, &mut y).unwrap();
-            let yd = dense.matvec(&v).unwrap();
-            for (b, d) in y.iter().zip(&yd) {
-                assert_eq!(b.to_bits(), d.to_bits());
-            }
+            assert_matvec_matches_dense(&a, &mut next);
             let b = Matrix::from_fn(n, 4, |_, _| next());
             let mut c = Matrix::from_fn(n, 4, |_, _| next());
             let mut cd = c.clone();
             a.gemm_into(1.5, &b, 0.5, &mut c).unwrap();
-            cd.gemm(1.5, &dense, &b, 0.5).unwrap();
-            for (x, y) in c.as_slice().iter().zip(cd.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+            cd.gemm(1.5, &a.to_dense(), &b, 0.5).unwrap();
+            assert_eq!(bits(c.as_slice()), bits(cd.as_slice()));
+        }
+        for &(n, kl, ku) in &[(1usize, 0usize, 0usize), (6, 0, 2), (6, 2, 0), (9, 3, 2)] {
+            let a = random_banded::<Complex>(n, kl, ku, 13 + n as u64);
+            assert_matvec_matches_dense(&a, &mut rng(21));
         }
     }
 
@@ -786,28 +926,20 @@ mod tests {
         for &(n, kl, ku) in
             &[(1usize, 0usize, 0usize), (4, 1, 1), (7, 0, 3), (7, 3, 0), (12, 2, 4), (10, 9, 9)]
         {
-            let a = random_banded(n, kl, ku, 31 + 3 * n as u64 + ku as u64);
-            let dense = a.to_dense();
-            let blu = a.lu().unwrap();
-            let dlu = LuDecomposition::new(&dense).unwrap();
-            assert_eq!(blu.determinant().to_bits(), dlu.determinant().to_bits());
+            let a = random_banded::<f64>(n, kl, ku, 31 + 3 * n as u64 + ku as u64);
             let mut next = rng(5);
-            let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let mut xb = vec![0.0; n];
-            let mut xd = vec![0.0; n];
-            blu.solve_into(&b, &mut xb).unwrap();
-            dlu.solve_into(&b, &mut xd).unwrap();
-            for (p, q) in xb.iter().zip(&xd) {
-                assert_eq!(p.to_bits(), q.to_bits(), "n={n} kl={kl} ku={ku}");
-            }
+            let (blu, dlu) = assert_factor_and_solve_match_dense(&a, &mut next);
             let bm = Matrix::from_fn(n, 3, |_, _| next());
             let mut ob = Matrix::zeros(n, 3);
             let mut od = Matrix::zeros(n, 3);
             blu.solve_matrix_into(&bm, &mut ob).unwrap();
             dlu.solve_matrix_into(&bm, &mut od).unwrap();
-            for (p, q) in ob.as_slice().iter().zip(od.as_slice()) {
-                assert_eq!(p.to_bits(), q.to_bits(), "n={n} kl={kl} ku={ku}");
-            }
+            assert_eq!(bits(ob.as_slice()), bits(od.as_slice()), "n={n} kl={kl} ku={ku}");
+        }
+        for &(n, kl, ku) in &[(1usize, 0usize, 0usize), (5, 1, 1), (8, 0, 3), (8, 3, 0), (11, 2, 4)]
+        {
+            let a = random_banded::<Complex>(n, kl, ku, 41 + 5 * n as u64 + kl as u64);
+            assert_factor_and_solve_match_dense(&a, &mut rng(3));
         }
     }
 
@@ -827,11 +959,7 @@ mod tests {
         let dlu = LuDecomposition::new(&dense).unwrap();
         assert_eq!(blu.determinant().to_bits(), dlu.determinant().to_bits());
         let b: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) * 0.3).collect();
-        let xb = blu.solve(&b).unwrap();
-        let xd = dlu.solve(&b).unwrap();
-        for (p, q) in xb.iter().zip(&xd) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
+        assert_eq!(bits(&blu.solve(&b).unwrap()), bits(&dlu.solve(&b).unwrap()));
     }
 
     #[test]
@@ -843,42 +971,66 @@ mod tests {
         a.set(1, 0, 2.0);
         a.set(1, 1, 4.0);
         a.set(2, 2, 1.0);
-        let dense = a.to_dense();
-        let db = BandedLu::new(&a).unwrap_err();
-        let dd = LuDecomposition::new(&dense).unwrap_err();
-        match (db, dd) {
-            (LinalgError::Singular { pivot: p }, LinalgError::Singular { pivot: q }) => {
-                assert_eq!(p, q)
-            }
-            other => panic!("expected Singular twins, got {other:?}"),
-        }
-        let lu = BandedLu::new_allow_singular(&a).unwrap();
-        assert!(lu.is_singular());
-        assert_eq!(lu.determinant(), 0.0);
-        assert!(lu.solve(&[1.0, 1.0, 1.0]).is_err());
+        assert_singular_semantics_match_dense(&a);
+        // Row 1 = 2 × row 0 inside a complex tridiagonal pattern.
+        let mut a = CBandedMatrix::zeros(3, 1, 1);
+        a.set(0, 0, Complex::new(1.0, 0.5));
+        a.set(0, 1, Complex::new(2.0, 0.0));
+        a.set(1, 0, Complex::new(2.0, 1.0));
+        a.set(1, 1, Complex::new(4.0, 0.0));
+        a.set(2, 2, Complex::ONE);
+        assert_singular_semantics_match_dense(&a);
     }
 
     #[test]
     fn pooled_factorisation_recycles_storage() {
         let mut ws = Workspace::new();
-        let a = random_banded(6, 1, 2, 11);
+        let a = random_banded::<f64>(6, 1, 2, 11);
         let lu = BandedLu::new_pooled(&a, &mut ws).unwrap();
         let x = lu.solve(&[1.0; 6]).unwrap();
         let direct = a.lu().unwrap().solve(&[1.0; 6]).unwrap();
-        for (p, q) in x.iter().zip(&direct) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
+        assert_eq!(bits(&x), bits(&direct));
+        lu.recycle(&mut ws);
+        assert_eq!(ws.pooled(), 1);
+
+        let mut ws = Workspace::new();
+        let a = random_banded::<Complex>(6, 2, 1, 19);
+        let lu = CBandedLu::new_allow_singular_pooled(&a, &mut ws).unwrap();
+        let b: Vec<Complex> = (0..6).map(|i| Complex::from_real(i as f64 + 1.0)).collect();
+        let x = lu.solve(&b).unwrap();
+        assert_eq!(bits(&x), bits(&a.lu().unwrap().solve(&b).unwrap()));
         lu.recycle(&mut ws);
         assert_eq!(ws.pooled(), 1);
     }
 
     #[test]
     fn dimension_checks_reject_mismatches() {
-        let a = random_banded(4, 1, 1, 3);
+        let a = random_banded::<f64>(4, 1, 1, 3);
         let lu = a.lu().unwrap();
         assert!(lu.solve(&[1.0; 3]).is_err());
         let mut y = [0.0; 3];
         assert!(a.matvec_into(&[1.0; 4], &mut y).is_err());
         assert!(BandedLu::new(&BandedMatrix::zeros(0, 0, 0)).is_err());
+    }
+
+    #[test]
+    fn regularized_solve_recovers_null_direction() {
+        // A genuinely near-singular tridiagonal: row 2 is ~1e-14·e_2, so e_2 is
+        // nearly a null vector.
+        let n = 5;
+        let mut a = random_banded::<Complex>(n, 1, 1, 77);
+        a.set(2, 2, Complex::new(1e-14, 0.0));
+        a.set(2, 1, Complex::ZERO);
+        a.set(2, 3, Complex::ZERO);
+        let lu = CBandedLu::new_allow_singular(&a).unwrap();
+        assert!(lu.smallest_pivot() < 1e-10);
+        let ones = vec![Complex::ONE; n];
+        let mut x = vec![Complex::ZERO; n];
+        lu.solve_regularized_into(&ones, &mut x, 1e-12).unwrap();
+        let max = x.iter().fold(0.0_f64, |m, z| m.max(z.abs()));
+        // The solution is dominated by the near-null direction.
+        assert!(max > 1e6, "max = {max}");
+        assert!(x.iter().all(|z| z.is_finite()));
+        assert!(lu.solve_regularized_into(&ones, &mut x, 0.0).is_err());
     }
 }

@@ -1,60 +1,48 @@
-//! A complex block-tridiagonal linear-system solver.
+//! A block-tridiagonal linear-system solver over any [`Scalar`].
 //!
 //! The boundary equations of a quasi-birth-death process couple the probability vectors
 //! of neighbouring queue-length levels only, so the linear system that determines them
 //! is block tridiagonal.  Solving it by block forward elimination (a block Thomas
 //! algorithm) costs `O(K s³)` instead of the `O(K³ s³)` of a dense factorisation, which
 //! is what makes the exact spectral-expansion solution practical for systems with many
-//! servers.
+//! servers.  The spectral solver's boundary system is complex ([`BlockTridiagonal`]);
+//! the matrix-geometric one is entirely real ([`RealBlockTridiagonal`]) — the
+//! transposed local generators on the diagonal, `−λI` below, the transposed departure
+//! matrices above — so it runs the same elimination in real arithmetic.
 
-use crate::clu::CluDecomposition;
-use crate::cmatrix::CMatrix;
 use crate::complex::Complex;
 use crate::error::LinalgError;
-use crate::lu::LuDecomposition;
-use crate::matrix::Matrix;
+use crate::lu::DenseLu;
+use crate::matrix::DenseMatrix;
 use crate::parallel::ThreadPool;
+use crate::scalar::Scalar;
 use crate::workspace::Workspace;
 use crate::Result;
+
+/// A sub- or super-diagonal coupling block of [`BlockTridiagonalSystem`].
+///
+/// The QBD boundary couplings are `B = λI` and the diagonal departure matrices
+/// `C_j`, so the solver can store them packed — `s` numbers instead of a dense
+/// `s × s` block — and dispatch straight to the diagonal fast paths without
+/// materialising `s² − s` zeros or scanning for structure.
+#[derive(Debug, Clone)]
+enum Coupling<T: Scalar> {
+    /// A general dense coupling block.
+    Dense(DenseMatrix<T>),
+    /// A diagonal coupling block, holding only the packed diagonal.
+    Diagonal(Vec<T>),
+}
 
 /// Returns `true` when every off-diagonal element of the square matrix is
 /// exactly zero.  The QBD departure matrix `C` and arrival matrix `B = λI` are
 /// diagonal, so the boundary systems' super-diagonal blocks usually are too;
 /// detecting that turns the `O(s³)` Schur-complement product of the block
 /// elimination into an `O(s²)` column scaling.
-fn is_diagonal_complex(m: &CMatrix) -> bool {
+fn is_diagonal<T: Scalar>(m: &DenseMatrix<T>) -> bool {
     let s = m.rows();
     for (i, row) in m.as_slice().chunks_exact(s).enumerate() {
-        for (j, z) in row.iter().enumerate() {
-            if i != j && *z != Complex::ZERO {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// A sub- or super-diagonal coupling block of [`RealBlockTridiagonal`].
-///
-/// The QBD boundary couplings are `B = λI` and the diagonal departure matrices
-/// `C_j`, so the solver stores them packed — `s` numbers instead of a dense
-/// `s × s` block — and dispatches straight to the diagonal fast paths without
-/// materialising `s² − s` zeros or scanning for structure.
-#[derive(Debug, Clone)]
-enum RealCoupling {
-    /// A general dense coupling block.
-    Dense(Matrix),
-    /// A diagonal coupling block, holding only the packed diagonal.
-    Diagonal(Vec<f64>),
-}
-
-/// Real twin of [`is_diagonal_complex`].
-fn is_diagonal_real(m: &Matrix) -> bool {
-    let s = m.rows();
-    for (i, row) in m.as_slice().chunks_exact(s).enumerate() {
-        for (j, v) in row.iter().enumerate() {
-            // urs-analyze: allow(float_cmp, reason = "exact-zero structure probe: any nonzero off-diagonal disables the fast path")
-            if i != j && *v != 0.0 {
+        for (j, &v) in row.iter().enumerate() {
+            if i != j && v != T::ZERO {
                 return false;
             }
         }
@@ -65,8 +53,15 @@ fn is_diagonal_real(m: &Matrix) -> bool {
 /// The Schur update `D ← D − W·U` for a diagonal `U`, which collapses to a
 /// column scaling: `diag[c·stride]` reads `U`'s diagonal either packed
 /// (`stride = 1`) or off a dense block (`stride = s + 1`), so the packed and
-/// dense representations run the byte-for-byte identical update.
-fn schur_diagonal_update(d_cur: &mut Matrix, w: &Matrix, diag: &[f64], stride: usize, s: usize) {
+/// dense representations run the byte-for-byte identical update.  Element-wise,
+/// hence independent of any pool partition.
+fn schur_diagonal_update<T: Scalar>(
+    d_cur: &mut DenseMatrix<T>,
+    w: &DenseMatrix<T>,
+    diag: &[T],
+    stride: usize,
+    s: usize,
+) {
     for (d_row, w_row) in d_cur.as_mut_slice().chunks_exact_mut(s).zip(w.as_slice().chunks_exact(s))
     {
         for (c, (x, &wv)) in d_row.iter_mut().zip(w_row).enumerate() {
@@ -84,8 +79,20 @@ fn schur_diagonal_update(d_cur: &mut Matrix, w: &Matrix, diag: &[f64], stride: u
 /// L_i · x_{i-1} + D_i · x_i + U_i · x_{i+1} = b_i
 /// ```
 ///
-/// where `L_0` and `U_{K-1}` are absent.  The right-hand sides and solutions are complex
-/// column vectors of length `s`.
+/// where `L_0` and `U_{K-1}` are absent.  The right-hand sides and solutions are
+/// column vectors of length `s`.  The two instantiations are named
+/// [`BlockTridiagonal`] (complex) and [`RealBlockTridiagonal`].
+#[derive(Debug, Clone)]
+pub struct BlockTridiagonalSystem<T: Scalar> {
+    block_rows: usize,
+    block_size: usize,
+    diagonal: Vec<DenseMatrix<T>>,
+    lower: Vec<Option<Coupling<T>>>,
+    upper: Vec<Option<Coupling<T>>>,
+    rhs: Vec<Vec<T>>,
+}
+
+/// A block-tridiagonal system with complex blocks.
 ///
 /// # Example
 ///
@@ -104,17 +111,12 @@ fn schur_diagonal_update(d_cur: &mut Matrix, w: &Matrix, diag: &[f64], stride: u
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct BlockTridiagonal {
-    block_rows: usize,
-    block_size: usize,
-    diagonal: Vec<CMatrix>,
-    lower: Vec<Option<CMatrix>>,
-    upper: Vec<Option<CMatrix>>,
-    rhs: Vec<Vec<Complex>>,
-}
+pub type BlockTridiagonal = BlockTridiagonalSystem<Complex>;
 
-impl BlockTridiagonal {
+/// A block-tridiagonal system with real blocks.
+pub type RealBlockTridiagonal = BlockTridiagonalSystem<f64>;
+
+impl<T: Scalar> BlockTridiagonalSystem<T> {
     /// Creates an empty system with `block_rows` block rows of size `block_size`.
     ///
     /// All blocks start as zero matrices and all right-hand sides as zero vectors.
@@ -128,13 +130,13 @@ impl BlockTridiagonal {
                 "block-tridiagonal system must have at least one non-empty block".into(),
             ));
         }
-        Ok(BlockTridiagonal {
+        Ok(BlockTridiagonalSystem {
             block_rows,
             block_size,
-            diagonal: vec![CMatrix::zeros(block_size, block_size); block_rows],
+            diagonal: vec![DenseMatrix::zeros(block_size, block_size); block_rows],
             lower: vec![None; block_rows],
             upper: vec![None; block_rows],
-            rhs: vec![vec![Complex::ZERO; block_size]; block_rows],
+            rhs: vec![vec![T::ZERO; block_size]; block_rows],
         })
     }
 
@@ -148,12 +150,23 @@ impl BlockTridiagonal {
         self.block_size
     }
 
-    fn check_block(&self, block: &CMatrix) -> Result<()> {
+    fn check_block(&self, block: &DenseMatrix<T>) -> Result<()> {
         if block.shape() != (self.block_size, self.block_size) {
             return Err(LinalgError::DimensionMismatch {
                 operation: "block-tridiagonal block assignment",
                 left: (self.block_size, self.block_size),
                 right: block.shape(),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_diag(&self, diag: &[T]) -> Result<()> {
+        if diag.len() != self.block_size {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "block-tridiagonal diagonal coupling assignment",
+                left: (self.block_size, self.block_size),
+                right: (diag.len(), diag.len()),
             });
         }
         Ok(())
@@ -169,14 +182,33 @@ impl BlockTridiagonal {
         Ok(())
     }
 
+    fn check_lower_row(&self, row: usize) -> Result<()> {
+        self.check_row(row)?;
+        if row == 0 {
+            return Err(LinalgError::InvalidInput("block row 0 has no sub-diagonal block".into()));
+        }
+        Ok(())
+    }
+
+    fn check_upper_row(&self, row: usize) -> Result<()> {
+        self.check_row(row)?;
+        if row + 1 == self.block_rows {
+            return Err(LinalgError::InvalidInput(
+                "the last block row has no super-diagonal block".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Sets the diagonal block `D_row`.
     ///
     /// # Errors
     ///
     /// Returns an error if the row index or block shape is invalid.
-    pub fn set_diagonal(&mut self, row: usize, block: CMatrix) -> Result<()> {
+    pub fn set_diagonal(&mut self, row: usize, block: DenseMatrix<T>) -> Result<()> {
         self.check_row(row)?;
         self.check_block(&block)?;
+        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
         self.diagonal[row] = block;
         Ok(())
     }
@@ -187,13 +219,26 @@ impl BlockTridiagonal {
     ///
     /// Returns an error if `row == 0`, the row index is out of range, or the block has
     /// the wrong shape.
-    pub fn set_lower(&mut self, row: usize, block: CMatrix) -> Result<()> {
-        self.check_row(row)?;
-        if row == 0 {
-            return Err(LinalgError::InvalidInput("block row 0 has no sub-diagonal block".into()));
-        }
+    pub fn set_lower(&mut self, row: usize, block: DenseMatrix<T>) -> Result<()> {
+        self.check_lower_row(row)?;
         self.check_block(&block)?;
-        self.lower[row] = Some(block);
+        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+        self.lower[row] = Some(Coupling::Dense(block));
+        Ok(())
+    }
+
+    /// Sets the sub-diagonal block `L_row` to a **diagonal** matrix given by its
+    /// packed diagonal, avoiding the dense `s × s` materialisation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`set_lower`](Self::set_lower), with the length of `diag`
+    /// standing in for the block shape.
+    pub fn set_lower_diagonal(&mut self, row: usize, diag: Vec<T>) -> Result<()> {
+        self.check_lower_row(row)?;
+        self.check_diag(&diag)?;
+        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+        self.lower[row] = Some(Coupling::Diagonal(diag));
         Ok(())
     }
 
@@ -203,15 +248,26 @@ impl BlockTridiagonal {
     ///
     /// Returns an error if `row` is the last block row, out of range, or the block has
     /// the wrong shape.
-    pub fn set_upper(&mut self, row: usize, block: CMatrix) -> Result<()> {
-        self.check_row(row)?;
-        if row + 1 == self.block_rows {
-            return Err(LinalgError::InvalidInput(
-                "the last block row has no super-diagonal block".into(),
-            ));
-        }
+    pub fn set_upper(&mut self, row: usize, block: DenseMatrix<T>) -> Result<()> {
+        self.check_upper_row(row)?;
         self.check_block(&block)?;
-        self.upper[row] = Some(block);
+        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+        self.upper[row] = Some(Coupling::Dense(block));
+        Ok(())
+    }
+
+    /// Sets the super-diagonal block `U_row` to a **diagonal** matrix given by
+    /// its packed diagonal, avoiding the dense `s × s` materialisation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`set_upper`](Self::set_upper), with the length of `diag`
+    /// standing in for the block shape.
+    pub fn set_upper_diagonal(&mut self, row: usize, diag: Vec<T>) -> Result<()> {
+        self.check_upper_row(row)?;
+        self.check_diag(&diag)?;
+        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+        self.upper[row] = Some(Coupling::Diagonal(diag));
         Ok(())
     }
 
@@ -220,7 +276,7 @@ impl BlockTridiagonal {
     /// # Errors
     ///
     /// Returns an error if the row index or vector length is invalid.
-    pub fn set_rhs(&mut self, row: usize, rhs: Vec<Complex>) -> Result<()> {
+    pub fn set_rhs(&mut self, row: usize, rhs: Vec<T>) -> Result<()> {
         self.check_row(row)?;
         if rhs.len() != self.block_size {
             return Err(LinalgError::DimensionMismatch {
@@ -229,25 +285,26 @@ impl BlockTridiagonal {
                 right: (rhs.len(), 1),
             });
         }
+        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
         self.rhs[row] = rhs;
         Ok(())
     }
 
     /// Solves the system by block forward elimination and back substitution.
     ///
-    /// Returns the solution as one complex vector per block row.
+    /// Returns the solution as one vector per block row.
     ///
     /// The elimination runs entirely on the in-place kernels: each block row costs
     /// *one* LU factorisation (the `W = L_i·D'⁻¹` product reuses the previous row's
-    /// factors through [`CluDecomposition::solve_right_matrix_into`] instead of
+    /// factors through [`DenseLu::solve_right_matrix_into`] instead of
     /// factorising the transpose a second time) and all temporaries come from one
     /// [`Workspace`], so the steady-state loop allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] if a pivot block becomes singular during the
-    /// elimination (callers may then fall back to a dense solve).
-    pub fn solve(&self) -> Result<Vec<Vec<Complex>>> {
+    /// elimination (callers may then fall back to [`solve_dense`](Self::solve_dense)).
+    pub fn solve(&self) -> Result<Vec<Vec<T>>> {
         self.solve_with(&ThreadPool::serial())
     }
 
@@ -264,459 +321,113 @@ impl BlockTridiagonal {
     ///
     /// Same as [`solve`](Self::solve), plus [`LinalgError::WorkerPanic`] if a worker
     /// panicked.
-    pub fn solve_with(&self, pool: &ThreadPool) -> Result<Vec<Vec<Complex>>> {
+    pub fn solve_with(&self, pool: &ThreadPool) -> Result<Vec<Vec<T>>> {
         let k = self.block_rows;
         let s = self.block_size;
         let mut ws = Workspace::new();
-        let mut rhs: Vec<Vec<Complex>> = self.rhs.clone();
+        let mut rhs: Vec<Vec<T>> = self.rhs.clone();
 
         // Forward elimination: remove L_i using block row i-1.  Each iteration
         // factorises the (updated) diagonal block exactly once and keeps the factors
         // for the back substitution.
-        let mut factorisations: Vec<CluDecomposition> = Vec::with_capacity(k);
-        let mut w = ws.complex_matrix(s, s);
-        let mut coupled = ws.complex_buffer(s);
+        let mut factorisations: Vec<DenseLu<T>> = Vec::with_capacity(k);
+        let mut w = ws.matrix(s, s);
+        let mut coupled = ws.buffer(s);
         for i in 0..k {
             // Working copy of D_i in pooled storage (consumed by the factorisation).
-            let mut d_cur = ws.complex_matrix(s, s);
+            let mut d_cur = ws.matrix(s, s);
+            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
             d_cur.as_mut_slice().copy_from_slice(self.diagonal[i].as_slice());
-            if i > 0 {
-                if let Some(lower) = &self.lower[i] {
-                    // W · D'_{i-1} = L_i, then D'_i = D_i − W·U_{i-1} and
-                    // b'_i = b_i − W·b'_{i-1}.
-                    factorisations[i - 1]
-                        .solve_right_matrix_into_with(lower, &mut w, &mut ws, pool)?;
-                    if let Some(upper_prev) = &self.upper[i - 1] {
-                        if is_diagonal_complex(upper_prev) {
-                            // U_{i-1} = diag(u): (W·U)_{r,c} = W_{r,c}·u_c, so the
-                            // Schur product collapses to a column scaling — O(s²)
-                            // instead of O(s³).  Element-wise, hence independent of
-                            // the pool partition: bit-identical at any thread count.
-                            let u = upper_prev.as_slice();
-                            for (d_row, w_row) in d_cur
-                                .as_mut_slice()
-                                .chunks_exact_mut(s)
-                                .zip(w.as_slice().chunks_exact(s))
-                            {
-                                for (c, (x, &wv)) in d_row.iter_mut().zip(w_row).enumerate() {
-                                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                                    *x -= wv * u[c * s + c];
-                                }
-                            }
-                        } else {
-                            d_cur.gemm_with(
-                                Complex::from_real(-1.0),
-                                &w,
-                                upper_prev,
-                                Complex::ONE,
-                                pool,
-                            )?;
-                        }
+            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+            if let (Some(lower), Some(prev)) = (&self.lower[i], i.checked_sub(1)) {
+                // W · D'_{i-1} = L_i, then D'_i = D_i − W·U_{i-1} and
+                // b'_i = b_i − W·b'_{i-1}.
+                match lower {
+                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                    Coupling::Dense(l) => factorisations[prev]
+                        .solve_right_matrix_into_with(l, &mut w, &mut ws, pool)?,
+                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                    Coupling::Diagonal(l) => factorisations[prev]
+                        .solve_right_diagonal_into_with(l, &mut w, &mut ws, pool)?,
+                }
+                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                match &self.upper[prev] {
+                    // U_{i-1} = diag(u): (W·U)_{r,c} = W_{r,c}·u_c, so the Schur
+                    // product collapses to a column scaling — O(s²) instead of O(s³).
+                    Some(Coupling::Diagonal(u)) => schur_diagonal_update(&mut d_cur, &w, u, 1, s),
+                    Some(Coupling::Dense(u)) if is_diagonal(u) => {
+                        schur_diagonal_update(&mut d_cur, &w, u.as_slice(), s + 1, s);
                     }
-                    w.matvec_into(&rhs[i - 1], &mut coupled)?;
-                    for (target, &delta) in rhs[i].iter_mut().zip(coupled.iter()) {
-                        *target -= delta;
+                    Some(Coupling::Dense(u)) => {
+                        d_cur.gemm_with(T::from_real(-1.0), &w, u, T::ONE, pool)?;
                     }
+                    None => {}
+                }
+                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                w.matvec_into(&rhs[prev], &mut coupled)?;
+                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                for (target, &delta) in rhs[i].iter_mut().zip(coupled.iter()) {
+                    *target -= delta;
                 }
             }
-            factorisations.push(CluDecomposition::from_matrix_with(d_cur, pool)?);
+            factorisations.push(DenseLu::from_matrix_with(d_cur, pool)?);
         }
-        ws.release_complex_matrix(w);
+        ws.release_matrix(w);
 
         // Back substitution.
-        let mut x: Vec<Vec<Complex>> = vec![vec![Complex::ZERO; s]; k];
+        let mut x: Vec<Vec<T>> = vec![vec![T::ZERO; s]; k];
         for i in (0..k).rev() {
-            let mut b = ws.complex_buffer(s);
+            let mut b = ws.buffer(s);
+            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
             b.copy_from_slice(&rhs[i]);
-            if i + 1 < k {
-                if let Some(upper) = &self.upper[i] {
-                    upper.matvec_into(&x[i + 1], &mut coupled)?;
-                    for (target, &delta) in b.iter_mut().zip(coupled.iter()) {
-                        *target -= delta;
+            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+            if let (Some(upper), Some(next)) = (&self.upper[i], x.get(i + 1)) {
+                match upper {
+                    Coupling::Dense(u) => u.matvec_into(next, &mut coupled)?,
+                    Coupling::Diagonal(u) => {
+                        for ((c, &uv), &xv) in coupled.iter_mut().zip(u).zip(next) {
+                            *c = uv * xv;
+                        }
                     }
                 }
+                for (target, &delta) in b.iter_mut().zip(coupled.iter()) {
+                    *target -= delta;
+                }
             }
+            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
             factorisations[i].solve_into(&b, &mut x[i])?;
-            ws.release_complex_buffer(b);
+            ws.release_buffer(b);
         }
         Ok(x)
     }
 
     /// Assembles the full dense system matrix; intended for tests and as a fallback for
     /// ill-conditioned systems.
-    pub fn to_dense(&self) -> CMatrix {
+    pub fn to_dense(&self) -> DenseMatrix<T> {
         let k = self.block_rows;
         let s = self.block_size;
-        let mut full = CMatrix::zeros(k * s, k * s);
-        for i in 0..k {
-            for r in 0..s {
-                for c in 0..s {
-                    full[(i * s + r, i * s + c)] = self.diagonal[i][(r, c)];
-                    if let Some(lower) = &self.lower[i] {
-                        full[(i * s + r, (i - 1) * s + c)] = lower[(r, c)];
-                    }
-                    if let Some(upper) = &self.upper[i] {
-                        full[(i * s + r, (i + 1) * s + c)] = upper[(r, c)];
-                    }
-                }
-            }
-        }
-        full
-    }
-
-    /// Flattens the right-hand side into a single dense vector matching
-    /// [`to_dense`](Self::to_dense).
-    pub fn dense_rhs(&self) -> Vec<Complex> {
-        self.rhs.iter().flat_map(|b| b.iter().copied()).collect()
-    }
-
-    /// Solves the system through a dense complex LU factorisation.
-    ///
-    /// This is `O((K·s)³)` and exists as a numerically independent cross-check and as a
-    /// fallback when the blocked elimination encounters a singular pivot block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the assembled system is singular.
-    pub fn solve_dense(&self) -> Result<Vec<Vec<Complex>>> {
-        let s = self.block_size;
-        let full = self.to_dense();
-        let flat = CluDecomposition::new(&full)?.solve(&self.dense_rhs())?;
-        Ok(flat.chunks(s).map(|chunk| chunk.to_vec()).collect())
-    }
-}
-
-/// A square block-tridiagonal system with *real* blocks — the all-real twin of
-/// [`BlockTridiagonal`].
-///
-/// The matrix-geometric boundary system is entirely real (the transposed local
-/// generators on the diagonal, `−λI` below, the transposed departure matrices
-/// above), so eliminating it in real arithmetic halves the memory traffic and
-/// replaces every complex multiply-add (4 real multiplies) with a real one.
-/// The elimination, the diagonal-super-block fast path, and the
-/// [`Workspace`]-pooled allocation discipline mirror the complex solver
-/// exactly; see [`BlockTridiagonal::solve_with`] for the determinism contract.
-#[derive(Debug, Clone)]
-pub struct RealBlockTridiagonal {
-    block_rows: usize,
-    block_size: usize,
-    diagonal: Vec<Matrix>,
-    lower: Vec<Option<RealCoupling>>,
-    upper: Vec<Option<RealCoupling>>,
-    rhs: Vec<Vec<f64>>,
-}
-
-impl RealBlockTridiagonal {
-    /// Creates an empty system with `block_rows` block rows of size
-    /// `block_size`; all blocks start as zeros.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if either dimension is zero.
-    pub fn new(block_rows: usize, block_size: usize) -> Result<Self> {
-        if block_rows == 0 || block_size == 0 {
-            return Err(LinalgError::InvalidInput(
-                "block-tridiagonal system must have at least one non-empty block".into(),
-            ));
-        }
-        Ok(RealBlockTridiagonal {
-            block_rows,
-            block_size,
-            diagonal: vec![Matrix::zeros(block_size, block_size); block_rows],
-            lower: vec![None; block_rows],
-            upper: vec![None; block_rows],
-            rhs: vec![vec![0.0; block_size]; block_rows],
-        })
-    }
-
-    /// Number of block rows `K`.
-    pub fn block_rows(&self) -> usize {
-        self.block_rows
-    }
-
-    /// Size `s` of each block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn check_block(&self, block: &Matrix) -> Result<()> {
-        if block.shape() != (self.block_size, self.block_size) {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "block-tridiagonal block assignment",
-                left: (self.block_size, self.block_size),
-                right: block.shape(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_row(&self, row: usize) -> Result<()> {
-        if row >= self.block_rows {
-            return Err(LinalgError::InvalidInput(format!(
-                "block row {row} out of range (system has {} block rows)",
-                self.block_rows
-            )));
-        }
-        Ok(())
-    }
-
-    /// Sets the diagonal block `D_row`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the row index or block shape is invalid.
-    pub fn set_diagonal(&mut self, row: usize, block: Matrix) -> Result<()> {
-        self.check_row(row)?;
-        self.check_block(&block)?;
-        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-        self.diagonal[row] = block;
-        Ok(())
-    }
-
-    /// Sets the sub-diagonal block `L_row` (coupling to `x_{row-1}`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `row == 0`, the row index is out of range, or the
-    /// block has the wrong shape.
-    pub fn set_lower(&mut self, row: usize, block: Matrix) -> Result<()> {
-        self.check_row(row)?;
-        if row == 0 {
-            return Err(LinalgError::InvalidInput("block row 0 has no sub-diagonal block".into()));
-        }
-        self.check_block(&block)?;
-        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-        self.lower[row] = Some(RealCoupling::Dense(block));
-        Ok(())
-    }
-
-    /// Sets the sub-diagonal block `L_row` to a **diagonal** matrix given by its
-    /// packed diagonal, avoiding the dense `s × s` materialisation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`set_lower`](Self::set_lower), with the length of `diag`
-    /// standing in for the block shape.
-    pub fn set_lower_diagonal(&mut self, row: usize, diag: Vec<f64>) -> Result<()> {
-        self.check_row(row)?;
-        if row == 0 {
-            return Err(LinalgError::InvalidInput("block row 0 has no sub-diagonal block".into()));
-        }
-        self.check_diag(&diag)?;
-        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-        self.lower[row] = Some(RealCoupling::Diagonal(diag));
-        Ok(())
-    }
-
-    /// Sets the super-diagonal block `U_row` (coupling to `x_{row+1}`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `row` is the last block row, out of range, or the
-    /// block has the wrong shape.
-    pub fn set_upper(&mut self, row: usize, block: Matrix) -> Result<()> {
-        self.check_row(row)?;
-        if row + 1 == self.block_rows {
-            return Err(LinalgError::InvalidInput(
-                "the last block row has no super-diagonal block".into(),
-            ));
-        }
-        self.check_block(&block)?;
-        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-        self.upper[row] = Some(RealCoupling::Dense(block));
-        Ok(())
-    }
-
-    /// Sets the super-diagonal block `U_row` to a **diagonal** matrix given by
-    /// its packed diagonal, avoiding the dense `s × s` materialisation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`set_upper`](Self::set_upper), with the length of `diag`
-    /// standing in for the block shape.
-    pub fn set_upper_diagonal(&mut self, row: usize, diag: Vec<f64>) -> Result<()> {
-        self.check_row(row)?;
-        if row + 1 == self.block_rows {
-            return Err(LinalgError::InvalidInput(
-                "the last block row has no super-diagonal block".into(),
-            ));
-        }
-        self.check_diag(&diag)?;
-        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-        self.upper[row] = Some(RealCoupling::Diagonal(diag));
-        Ok(())
-    }
-
-    fn check_diag(&self, diag: &[f64]) -> Result<()> {
-        if diag.len() != self.block_size {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "block-tridiagonal diagonal coupling assignment",
-                left: (self.block_size, self.block_size),
-                right: (diag.len(), diag.len()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Sets the right-hand side vector `b_row`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the row index or vector length is invalid.
-    pub fn set_rhs(&mut self, row: usize, rhs: Vec<f64>) -> Result<()> {
-        self.check_row(row)?;
-        if rhs.len() != self.block_size {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "block-tridiagonal right-hand side",
-                left: (self.block_size, 1),
-                right: (rhs.len(), 1),
-            });
-        }
-        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-        self.rhs[row] = rhs;
-        Ok(())
-    }
-
-    /// Solves the system by block forward elimination and back substitution;
-    /// see [`BlockTridiagonal::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if a pivot block becomes singular
-    /// during the elimination.
-    pub fn solve(&self) -> Result<Vec<Vec<f64>>> {
-        self.solve_with(&ThreadPool::serial())
-    }
-
-    /// [`solve`](Self::solve) with the per-block kernels running on `pool`;
-    /// the block recurrence stays sequential and every kernel preserves its
-    /// serial accumulation order, so the solution is bit-identical at any
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](Self::solve), plus [`LinalgError::WorkerPanic`] if a
-    /// worker panicked.
-    pub fn solve_with(&self, pool: &ThreadPool) -> Result<Vec<Vec<f64>>> {
-        let k = self.block_rows;
-        let s = self.block_size;
-        let mut ws = Workspace::new();
-        let mut rhs: Vec<Vec<f64>> = self.rhs.clone();
-
-        let mut factorisations: Vec<LuDecomposition> = Vec::with_capacity(k);
-        let mut w = ws.real_matrix(s, s);
-        let mut coupled = ws.real_buffer(s);
-        for i in 0..k {
-            let mut d_cur = ws.real_matrix(s, s);
-            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            d_cur.as_mut_slice().copy_from_slice(self.diagonal[i].as_slice());
-            if i > 0 {
-                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                if let Some(lower) = &self.lower[i] {
-                    match lower {
-                        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                        RealCoupling::Dense(l) => factorisations[i - 1]
-                            .solve_right_matrix_into_with(l, &mut w, &mut ws, pool)?,
-                        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                        RealCoupling::Diagonal(l) => factorisations[i - 1]
-                            .solve_right_diagonal_into_with(l, &mut w, &mut ws, pool)?,
-                    }
-                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                    match &self.upper[i - 1] {
-                        Some(RealCoupling::Diagonal(u)) => {
-                            schur_diagonal_update(&mut d_cur, &w, u, 1, s);
-                        }
-                        Some(RealCoupling::Dense(u)) if is_diagonal_real(u) => {
-                            // Schur product against a diagonal block collapses to a
-                            // column scaling; see the complex solver.
-                            schur_diagonal_update(&mut d_cur, &w, u.as_slice(), s + 1, s);
-                        }
-                        Some(RealCoupling::Dense(u)) => {
-                            d_cur.gemm_with(-1.0, &w, u, 1.0, pool)?;
-                        }
-                        None => {}
-                    }
-                    // b'_i = b_i − W·b'_{i-1}, with the same per-row ascending
-                    // accumulation as `Matrix::matvec`.
-                    for (ci, w_row) in w.as_slice().chunks_exact(s).enumerate() {
-                        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                        coupled[ci] = w_row.iter().zip(rhs[i - 1].iter()).map(|(a, b)| a * b).sum();
-                    }
-                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                    for (target, &delta) in rhs[i].iter_mut().zip(coupled.iter()) {
-                        *target -= delta;
-                    }
-                }
-            }
-            factorisations.push(LuDecomposition::from_matrix_with(d_cur, pool)?);
-        }
-        ws.release_real_matrix(w);
-
-        let mut x: Vec<Vec<f64>> = vec![vec![0.0; s]; k];
-        for i in (0..k).rev() {
-            let mut b = ws.real_buffer(s);
-            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            b.copy_from_slice(&rhs[i]);
-            if i + 1 < k {
-                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                if let Some(upper) = &self.upper[i] {
-                    match upper {
-                        RealCoupling::Dense(u) => {
-                            for (ci, u_row) in u.as_slice().chunks_exact(s).enumerate() {
-                                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                                coupled[ci] =
-                                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                                    u_row.iter().zip(x[i + 1].iter()).map(|(a, b)| a * b).sum();
-                            }
-                        }
-                        RealCoupling::Diagonal(u) => {
-                            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                            for (ci, (&uv, &xv)) in u.iter().zip(x[i + 1].iter()).enumerate() {
-                                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                                coupled[ci] = uv * xv;
+        let mut full = DenseMatrix::zeros(k * s, k * s);
+        let place =
+            |coupling: &Coupling<T>, row0: usize, col0: usize, full: &mut DenseMatrix<T>| {
+                match coupling {
+                    Coupling::Dense(m) => {
+                        for r in 0..s {
+                            for c in 0..s {
+                                full[(row0 + r, col0 + c)] = m[(r, c)];
                             }
                         }
                     }
-                    for (target, &delta) in b.iter_mut().zip(coupled.iter()) {
-                        *target -= delta;
-                    }
-                }
-            }
-            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            factorisations[i].solve_into(&b, &mut x[i])?;
-            ws.release_real_buffer(b);
-        }
-        Ok(x)
-    }
-
-    /// Assembles the full dense system matrix (tests and fallback).
-    pub fn to_dense(&self) -> Matrix {
-        let k = self.block_rows;
-        let s = self.block_size;
-        let mut full = Matrix::zeros(k * s, k * s);
-        let place = |coupling: &RealCoupling, row0: usize, col0: usize, full: &mut Matrix| {
-            match coupling {
-                RealCoupling::Dense(m) => {
-                    for r in 0..s {
-                        for c in 0..s {
-                            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                            full[(row0 + r, col0 + c)] = m[(r, c)];
+                    Coupling::Diagonal(d) => {
+                        for (r, &v) in d.iter().enumerate() {
+                            full[(row0 + r, col0 + r)] = v;
                         }
                     }
                 }
-                RealCoupling::Diagonal(d) => {
-                    for (r, &v) in d.iter().enumerate() {
-                        // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                        full[(row0 + r, col0 + r)] = v;
-                    }
-                }
-            }
-        };
-        for i in 0..k {
+            };
+        for (i, diagonal) in self.diagonal.iter().enumerate() {
             for r in 0..s {
                 for c in 0..s {
-                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                    full[(i * s + r, i * s + c)] = self.diagonal[i][(r, c)];
+                    full[(i * s + r, i * s + c)] = diagonal[(r, c)];
                 }
             }
             // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
@@ -733,21 +444,22 @@ impl RealBlockTridiagonal {
 
     /// Flattens the right-hand side into a single dense vector matching
     /// [`to_dense`](Self::to_dense).
-    pub fn dense_rhs(&self) -> Vec<f64> {
+    pub fn dense_rhs(&self) -> Vec<T> {
         self.rhs.iter().flat_map(|b| b.iter().copied()).collect()
     }
 
-    /// Solves the system through a dense real LU factorisation — an
-    /// `O((K·s)³)` numerically independent cross-check and the fallback for a
-    /// singular pivot block.
+    /// Solves the system through a dense LU factorisation.
+    ///
+    /// This is `O((K·s)³)` and exists as a numerically independent cross-check and as a
+    /// fallback when the blocked elimination encounters a singular pivot block.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] if the assembled system is singular.
-    pub fn solve_dense(&self) -> Result<Vec<Vec<f64>>> {
+    pub fn solve_dense(&self) -> Result<Vec<Vec<T>>> {
         let s = self.block_size;
         let full = self.to_dense();
-        let flat = LuDecomposition::new(&full)?.solve(&self.dense_rhs())?;
+        let flat = DenseLu::new(&full)?.solve(&self.dense_rhs())?;
         Ok(flat.chunks(s).map(|chunk| chunk.to_vec()).collect())
     }
 }
@@ -755,6 +467,7 @@ impl RealBlockTridiagonal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CMatrix, Matrix};
 
     fn real_block(values: &[&[f64]]) -> CMatrix {
         CMatrix::from_fn(values.len(), values[0].len(), |i, j| Complex::from_real(values[i][j]))
@@ -819,16 +532,25 @@ mod tests {
         assert!((x[0][1].re - 2.0).abs() < 1e-14);
     }
 
+    fn assert_invalid_configuration_rejected<T: Scalar>() {
+        assert!(BlockTridiagonalSystem::<T>::new(0, 2).is_err());
+        assert!(BlockTridiagonalSystem::<T>::new(2, 0).is_err());
+        let mut sys = BlockTridiagonalSystem::<T>::new(2, 2).unwrap();
+        assert!(sys.set_lower(0, DenseMatrix::zeros(2, 2)).is_err());
+        assert!(sys.set_upper(1, DenseMatrix::zeros(2, 2)).is_err());
+        assert!(sys.set_diagonal(5, DenseMatrix::zeros(2, 2)).is_err());
+        assert!(sys.set_diagonal(0, DenseMatrix::zeros(3, 3)).is_err());
+        assert!(sys.set_rhs(0, vec![T::ZERO]).is_err());
+    }
+
     #[test]
     fn invalid_configuration_rejected() {
-        assert!(BlockTridiagonal::new(0, 2).is_err());
-        assert!(BlockTridiagonal::new(2, 0).is_err());
-        let mut sys = BlockTridiagonal::new(2, 2).unwrap();
-        assert!(sys.set_lower(0, CMatrix::zeros(2, 2)).is_err());
-        assert!(sys.set_upper(1, CMatrix::zeros(2, 2)).is_err());
-        assert!(sys.set_diagonal(5, CMatrix::zeros(2, 2)).is_err());
-        assert!(sys.set_diagonal(0, CMatrix::zeros(3, 3)).is_err());
-        assert!(sys.set_rhs(0, vec![Complex::ZERO]).is_err());
+        assert_invalid_configuration_rejected::<Complex>();
+    }
+
+    #[test]
+    fn real_invalid_configuration_rejected() {
+        assert_invalid_configuration_rejected::<f64>();
     }
 
     #[test]
@@ -1043,17 +765,5 @@ mod tests {
         assert!(sys.set_upper_diagonal(1, vec![1.0, 2.0, 3.0]).is_err());
         assert!(sys.set_lower_diagonal(1, vec![1.0, 2.0]).is_ok());
         assert!(sys.set_upper_diagonal(1, vec![1.0, 2.0]).is_ok());
-    }
-
-    #[test]
-    fn real_invalid_configuration_rejected() {
-        assert!(RealBlockTridiagonal::new(0, 2).is_err());
-        assert!(RealBlockTridiagonal::new(2, 0).is_err());
-        let mut sys = RealBlockTridiagonal::new(2, 2).unwrap();
-        assert!(sys.set_lower(0, Matrix::zeros(2, 2)).is_err());
-        assert!(sys.set_upper(1, Matrix::zeros(2, 2)).is_err());
-        assert!(sys.set_diagonal(5, Matrix::zeros(2, 2)).is_err());
-        assert!(sys.set_diagonal(0, Matrix::zeros(3, 3)).is_err());
-        assert!(sys.set_rhs(0, vec![0.0]).is_err());
     }
 }

@@ -1,37 +1,37 @@
-//! Dense real and complex linear algebra for the `unreliable-servers` workspace.
+//! Dense, banded and block-tridiagonal linear algebra for the `unreliable-servers`
+//! workspace.
 //!
 //! The crates in this workspace reproduce the queueing analysis of Palmer & Mitrani,
 //! *Empirical and Analytical Evaluation of Systems with Multiple Unreliable Servers*
-//! (DSN 2006).  The spectral-expansion solution of a Markov-modulated queue needs a
-//! small but complete set of dense numerical kernels:
+//! (DSN 2006).  The spectral expansion needs complex arithmetic on `Q(z)` and its
+//! boundary system; the matrix-geometric method stays real.  Both run one set of
+//! kernels, written once over the sealed [`Scalar`] trait and instantiated for `f64`
+//! and [`Complex`]:
 //!
-//! * real matrices with LU factorisation, determinants, inverses and linear solves
-//!   ([`Matrix`], [`LuDecomposition`]),
-//! * complex matrices and complex LU factorisation with null-space extraction
-//!   ([`CMatrix`], [`CluDecomposition`]),
-//! * eigenvalues of general real matrices via balancing, Householder Hessenberg
-//!   reduction and the Francis implicit double-shift QR iteration ([`eigenvalues`]),
-//! * eigenvalues of quadratic matrix polynomials `Q0 + Q1 z + Q2 z^2` through
-//!   companion linearisation ([`QuadraticEigenProblem`]),
-//! * complex and real block-tridiagonal solvers used for the boundary equations of
-//!   quasi-birth-death processes ([`BlockTridiagonal`], [`RealBlockTridiagonal`]),
-//! * packed band storage with banded matvec/gemm and banded LU, real and complex
-//!   ([`BandedMatrix`]/[`BandedLu`], [`CBandedMatrix`]/[`CBandedLu`]), bit-identical
-//!   to the dense kernels on the same nonzero pattern, with the
-//!   [`banded_profitable`] crossover rule deciding when solvers route through them,
-//! * allocation-free in-place kernels — `gemm`-style multiply-accumulate
-//!   ([`Matrix::gemm`], [`CMatrix::gemm`]), blocked LU with the `solve_*_into`
-//!   family — backed by a reusable [`Workspace`] scratch-buffer pool so the
+//! * dense matrices with tiled `gemm` multiply-accumulate ([`DenseMatrix`]),
+//! * blocked LU with partial pivoting, determinants, inverses, the allocation-free
+//!   `solve_*_into` family and null-vector extraction ([`DenseLu`]),
+//! * packed band storage with banded matvec/gemm and banded LU ([`BandMatrix`],
+//!   [`BandLu`]), bit-identical to the dense kernels on the same nonzero pattern, with
+//!   the [`banded_profitable`] crossover rule deciding when solvers route through them,
+//! * block-tridiagonal elimination for the boundary equations of quasi-birth-death
+//!   processes ([`BlockTridiagonalSystem`]),
+//! * a [`Workspace`] scratch-buffer pool, one free list per scalar type, so the
 //!   solvers' hot loops allocate nothing,
 //! * an intra-solve worker pool ([`ThreadPool`], module [`parallel`]): the `*_with`
-//!   kernel variants ([`Matrix::gemm_with`], [`LuDecomposition::from_matrix_with`],
-//!   [`LuDecomposition::solve_right_matrix_into_with`], …) partition independent
-//!   output rows across workers while keeping every per-element accumulation order
-//!   fixed, so results are **bit-identical at any thread count**.
+//!   kernel variants partition independent output rows across workers while keeping
+//!   every per-element accumulation order fixed, so results are **bit-identical at
+//!   any thread count**.
 //!
-//! Everything is implemented from scratch on top of `std`; no external BLAS/LAPACK
-//! bindings are used, which keeps the workspace buildable in fully offline
-//! environments.
+//! Each instantiation keeps its own name as a type alias: [`Matrix`]/[`CMatrix`],
+//! [`LuDecomposition`]/[`CluDecomposition`], [`BandedMatrix`]/[`CBandedMatrix`],
+//! [`BandedLu`]/[`CBandedLu`] and [`RealBlockTridiagonal`]/[`BlockTridiagonal`].
+//! Besides the generic core the crate computes eigenvalues of general real matrices
+//! (balancing, Householder Hessenberg reduction and the Francis double-shift QR,
+//! [`eigenvalues`]) and of quadratic matrix polynomials `Q0 + Q1 z + Q2 z²` by
+//! companion linearisation ([`QuadraticEigenProblem`]).  Everything is implemented
+//! on top of `std`; no external BLAS/LAPACK bindings are used, which keeps the
+//! workspace buildable offline.
 //!
 //! # Paper map
 //!
@@ -43,13 +43,13 @@
 //!
 //! | API | Role in the reproduction |
 //! |---|---|
-//! | [`Matrix::gemm`] / [`CMatrix::gemm`] | tiled multiply-accumulate behind every solver product (§3.1 matrices are sparse bands — zero rows are skipped) |
-//! | [`LuDecomposition`] / [`CluDecomposition`] | blocked LU with partial pivoting; `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse |
+//! | [`DenseMatrix::gemm`] | tiled multiply-accumulate behind every solver product (§3.1 matrices are sparse bands — zero rows are skipped) |
+//! | [`DenseLu`] | blocked LU with partial pivoting; `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse |
 //! | [`Workspace`] | scratch-buffer pool so the `R`-matrix logarithmic reduction and the boundary elimination allocate nothing per iteration |
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
-//! | [`BandedMatrix`]/[`BandedLu`], [`CBandedMatrix`]/[`CBandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
+//! | [`BandMatrix`] / [`BandLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
 //! | [`QuadraticEigenProblem::left_eigenvector`] | eigenvector extraction by shifted inverse iteration on one banded LU of `Q(z)ᵀ` per eigenvalue (dense null-space fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
-//! | [`RealBlockTridiagonal`] | all-real boundary elimination for the matrix-geometric method (`B = λI` keeps the boundary blocks real) |
+//! | [`BlockTridiagonalSystem`] | boundary elimination: complex for the spectral expansion, real for the matrix-geometric method (`B = λI` keeps its boundary blocks real) |
 //!
 //! # Example
 //!
@@ -71,31 +71,27 @@
 
 mod banded;
 mod blocktri;
-mod cbanded;
-mod clu;
-mod cmatrix;
 mod complex;
 mod error;
 mod lu;
 mod matrix;
 mod quadratic;
+mod scalar;
 mod workspace;
 
 pub mod eigen;
 pub mod parallel;
 
-pub use banded::{BandedLu, BandedMatrix};
-pub use blocktri::{BlockTridiagonal, RealBlockTridiagonal};
-pub use cbanded::{CBandedLu, CBandedMatrix};
-pub use clu::CluDecomposition;
-pub use cmatrix::CMatrix;
+pub use banded::{BandLu, BandMatrix, BandedLu, BandedMatrix, CBandedLu, CBandedMatrix};
+pub use blocktri::{BlockTridiagonal, BlockTridiagonalSystem, RealBlockTridiagonal};
 pub use complex::Complex;
 pub use eigen::{eigenvalues, EigenOptions};
 pub use error::LinalgError;
-pub use lu::LuDecomposition;
-pub use matrix::Matrix;
+pub use lu::{CluDecomposition, DenseLu, LuDecomposition};
+pub use matrix::{CMatrix, DenseMatrix, Matrix};
 pub use parallel::{ThreadPool, WorkerPanic};
 pub use quadratic::{QuadraticEigenProblem, QuadraticEigenvalue};
+pub use scalar::Scalar;
 pub use workspace::Workspace;
 
 /// Convenience result alias used throughout the crate.

@@ -1,12 +1,17 @@
-//! Blocked LU factorisation with partial pivoting for real matrices.
+//! Blocked LU factorisation with partial pivoting, null-space extraction and
+//! the allocation-free solve family, for any [`Scalar`].
 
+use std::mem::size_of;
+
+use crate::complex::Complex;
 use crate::error::LinalgError;
-use crate::matrix::{par_band_rows, Matrix};
+use crate::matrix::{par_band_rows, DenseMatrix};
 use crate::parallel::ThreadPool;
+use crate::scalar::Scalar;
 use crate::workspace::Workspace;
 use crate::Result;
 
-/// An LU factorisation `P·A = L·U` of a square real matrix with partial (row) pivoting.
+/// An LU factorisation `P·A = L·U` of a square matrix with partial (row) pivoting.
 ///
 /// The factors are stored compactly: the strictly lower triangle of `lu` holds the
 /// multipliers of `L` (whose diagonal is implicitly 1) and the upper triangle holds `U`.
@@ -19,6 +24,27 @@ use crate::Result;
 /// allocation-free (`solve_into`, `solve_matrix_into`, `solve_right_matrix_into`)
 /// flavours; the `_into` family is what the hot loops of `urs-core` use together with
 /// a [`Workspace`].
+///
+/// Pivots are chosen by [`Scalar::modulus`]; a pivot below `1e-300` in modulus is
+/// treated as zero.  The factorisation records both the first such column — the
+/// index every [`LinalgError::Singular`] reports — and the smallest pivot, which
+/// [`null_vector`](Self::null_vector) uses to extract an eigenvector of a
+/// numerically singular matrix.  The two instantiations are named
+/// [`LuDecomposition`] and [`CluDecomposition`].
+#[derive(Debug, Clone)]
+pub struct DenseLu<T: Scalar> {
+    lu: DenseMatrix<T>,
+    /// permutation: row `i` of the factorised matrix corresponds to row `perm[i]` of `A`.
+    perm: Vec<usize>,
+    /// sign of the permutation (+1.0 or -1.0); used for the determinant.
+    perm_sign: f64,
+    /// First column whose pivot underflowed to (effectively) zero.
+    singular_at: Option<usize>,
+    /// Index of the smallest pivot (by modulus) and its modulus.
+    min_pivot: (usize, f64),
+}
+
+/// LU factorisation of a real matrix.
 ///
 /// # Example
 ///
@@ -33,33 +59,57 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct LuDecomposition {
-    lu: Matrix,
-    /// permutation: row `i` of the factorised matrix corresponds to row `perm[i]` of `A`.
-    perm: Vec<usize>,
-    /// sign of the permutation (+1.0 or -1.0); used for the determinant.
-    perm_sign: f64,
-    /// `true` if a pivot underflowed to (effectively) zero.
-    singular_at: Option<usize>,
-}
+pub type LuDecomposition = DenseLu<f64>;
 
-/// Relative threshold below which a pivot is considered zero.
-const PIVOT_EPS: f64 = 1e-300;
+/// LU factorisation of a complex matrix; the spectral solver extracts
+/// eigenvectors from it as null vectors of `Q(z)` at an eigenvalue.
+///
+/// # Example
+///
+/// ```
+/// use urs_linalg::{CMatrix, Complex, CluDecomposition};
+///
+/// # fn main() -> Result<(), urs_linalg::LinalgError> {
+/// // Singular matrix [[1, 1], [1, 1]]: left null vector is proportional to (1, -1).
+/// let a = CMatrix::filled(2, 2, Complex::ONE);
+/// let v = CluDecomposition::new_allow_singular(&a)?.left_null_vector()?;
+/// assert!((v[0] + v[1]).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+pub type CluDecomposition = DenseLu<Complex>;
 
-/// Panel width of the blocked elimination.
-const PANEL: usize = 48;
+/// Absolute threshold below which a pivot's modulus is considered zero.
+pub(crate) const PIVOT_EPS: f64 = 1e-300;
 
-impl LuDecomposition {
-    /// Factorises a square matrix.
+/// Byte width of one row of a panel of the blocked elimination: 48 columns for
+/// `f64`, 24 for [`Complex`].
+const PANEL_BYTES: usize = 384;
+
+/// The widest panel of any scalar type (`f64`'s).
+const MAX_PANEL: usize = PANEL_BYTES / size_of::<f64>();
+
+impl<T: Scalar> DenseLu<T> {
+    /// Factorises a square matrix, rejecting singular input.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square input,
-    /// [`LinalgError::InvalidInput`] if the matrix contains non-finite values, and
-    /// [`LinalgError::Singular`] when the matrix is singular to working precision.
-    pub fn new(a: &Matrix) -> Result<Self> {
+    /// [`LinalgError::InvalidInput`] if the matrix is empty or contains non-finite
+    /// values, and [`LinalgError::Singular`] when the matrix is singular to working
+    /// precision.
+    pub fn new(a: &DenseMatrix<T>) -> Result<Self> {
         Self::from_matrix(a.clone())
+    }
+
+    /// [`new`](Self::new) with the trailing updates of the blocked elimination
+    /// parallelised on `pool`; see [`from_matrix_with`](Self::from_matrix_with).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`from_matrix_with`](Self::from_matrix_with).
+    pub fn new_with(a: &DenseMatrix<T>, pool: &ThreadPool) -> Result<Self> {
+        Self::from_matrix_with(a.clone(), pool)
     }
 
     /// Factorises a square matrix taking ownership of its storage (no copy).
@@ -71,7 +121,7 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Same conditions as [`new`](Self::new).
-    pub fn from_matrix(a: Matrix) -> Result<Self> {
+    pub fn from_matrix(a: DenseMatrix<T>) -> Result<Self> {
         Self::from_matrix_with(a, &ThreadPool::serial())
     }
 
@@ -88,24 +138,22 @@ impl LuDecomposition {
     ///
     /// Same as [`from_matrix`](Self::from_matrix), plus
     /// [`LinalgError::WorkerPanic`] if a worker panicked.
-    pub fn from_matrix_with(a: Matrix, pool: &ThreadPool) -> Result<Self> {
+    pub fn from_matrix_with(a: DenseMatrix<T>, pool: &ThreadPool) -> Result<Self> {
         let lu = Self::factor_allow_singular(a, pool)?;
-        if let Some(pivot) = lu.singular_at {
-            return Err(LinalgError::Singular { pivot });
-        }
+        lu.ensure_regular()?;
         Ok(lu)
     }
 
     /// Factorises a square matrix, tolerating exactly singular input.
     ///
     /// The resulting decomposition can still be used for [`determinant`](Self::determinant)
-    /// (which will be 0), but [`solve`](Self::solve) and [`inverse`](Self::inverse) will
-    /// return [`LinalgError::Singular`].
+    /// (which will be 0) and the null vectors, but [`solve`](Self::solve) and
+    /// [`inverse`](Self::inverse) will return [`LinalgError::Singular`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] or [`LinalgError::InvalidInput`].
-    pub fn new_allow_singular(a: &Matrix) -> Result<Self> {
+    pub fn new_allow_singular(a: &DenseMatrix<T>) -> Result<Self> {
         Self::factor_allow_singular(a.clone(), &ThreadPool::serial())
     }
 
@@ -117,37 +165,42 @@ impl LuDecomposition {
     ///
     /// Returns [`LinalgError::NotSquare`], [`LinalgError::InvalidInput`], or
     /// [`LinalgError::WorkerPanic`].
-    pub fn new_allow_singular_with(a: &Matrix, pool: &ThreadPool) -> Result<Self> {
+    pub fn new_allow_singular_with(a: &DenseMatrix<T>, pool: &ThreadPool) -> Result<Self> {
         Self::factor_allow_singular(a.clone(), pool)
     }
 
-    fn factor_allow_singular(a: Matrix, pool: &ThreadPool) -> Result<Self> {
+    fn factor_allow_singular(a: DenseMatrix<T>, pool: &ThreadPool) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
+        }
+        let n = a.rows();
+        if n == 0 {
+            return Err(LinalgError::InvalidInput("matrix must be non-empty".into()));
         }
         if !a.is_finite() {
             return Err(LinalgError::InvalidInput("matrix contains non-finite values".into()));
         }
-        let n = a.rows();
+        let panel = PANEL_BYTES / size_of::<T>();
         let mut lu = a;
         let d = lu.as_mut_slice();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
         let mut singular_at = None;
+        let mut min_pivot = (0usize, f64::INFINITY);
         // Tracks which panel columns produced usable pivots; columns whose pivot
         // underflowed contribute nothing to the trailing update (matching the
         // unblocked algorithm, which skips their elimination step entirely).
-        let mut active = [false; PANEL];
+        let mut active = [false; MAX_PANEL];
 
         // urs-analyze: begin(no_alloc)
-        for kk in (0..n).step_by(PANEL) {
-            let k_end = (kk + PANEL).min(n);
+        for kk in (0..n).step_by(panel) {
+            let k_end = (kk + panel).min(n);
             // 1. Factor the panel columns kk..k_end (unblocked, full-height pivoting).
             for k in kk..k_end {
                 let mut pivot_row = k;
-                let mut pivot_val = d[k * n + k].abs();
+                let mut pivot_val = d[k * n + k].modulus();
                 for i in (k + 1)..n {
-                    let v = d[i * n + k].abs();
+                    let v = d[i * n + k].modulus();
                     if v > pivot_val {
                         pivot_val = v;
                         pivot_row = i;
@@ -160,22 +213,23 @@ impl LuDecomposition {
                     perm.swap(k, pivot_row);
                     perm_sign = -perm_sign;
                 }
-                let pivot = d[k * n + k];
-                if pivot.abs() < PIVOT_EPS {
-                    if singular_at.is_none() {
-                        singular_at = Some(k);
-                    }
+                if pivot_val < min_pivot.1 {
+                    min_pivot = (k, pivot_val);
+                }
+                if pivot_val < PIVOT_EPS {
+                    singular_at = singular_at.or(Some(k));
                     active[k - kk] = false;
                     continue;
                 }
                 active[k - kk] = true;
+                let pivot = d[k * n + k];
                 // Multipliers plus the within-panel update of columns k+1..k_end.
                 let (pivot_rows, trail) = d.split_at_mut((k + 1) * n);
                 let u_row = &pivot_rows[k * n + (k + 1)..k * n + k_end];
                 for row in trail.chunks_exact_mut(n) {
                     let factor = row[k] / pivot;
                     row[k] = factor;
-                    if factor != 0.0 {
+                    if factor != T::ZERO {
                         for (x, &u) in row[k + 1..k_end].iter_mut().zip(u_row) {
                             *x -= factor * u;
                         }
@@ -196,7 +250,7 @@ impl LuDecomposition {
                 let u_row = &upper[k * n + k_end..(k + 1) * n];
                 for row in lower.chunks_exact_mut(n).take(k_end - k - 1) {
                     let factor = row[k];
-                    if factor != 0.0 {
+                    if factor != T::ZERO {
                         for (x, &u) in row[k_end..].iter_mut().zip(u_row) {
                             *x -= factor * u;
                         }
@@ -204,24 +258,25 @@ impl LuDecomposition {
                 }
             }
             // 2b. Rows below the panel: a multiply-accumulate A22 ← A22 − L21·U12 with
-            //     the panel's U rows (≤ PANEL·n doubles) staying cache-hot.  Each row's
-            //     update is independent of every other row, so the rows can be split
-            //     into bands across the pool; within a row the ascending-k loop is the
-            //     same either way, keeping the factors bit-identical.
+            //     the panel's U rows staying cache-hot.  Each row's update is
+            //     independent of every other row, so the rows can be split into bands
+            //     across the pool; within a row the ascending-k loop is the same either
+            //     way, keeping the factors bit-identical.
             let (panel_rows, trailing_rows) = d.split_at_mut(k_end * n);
             let trailing_count = trailing_rows.len() / n;
             let band_rows = par_band_rows(trailing_count, k_end - kk, n - k_end, pool.threads());
+            let active: &[bool] = &active;
             if band_rows >= trailing_count {
-                lu_trailing_update(trailing_rows, panel_rows, &active, kk, k_end, n);
+                lu_trailing_update(trailing_rows, panel_rows, active, kk, k_end, n);
             } else {
-                let panel_ref: &[f64] = panel_rows;
+                let panel_ref: &[T] = panel_rows;
                 pool.par_chunks_mut(trailing_rows, band_rows * n, |_, band| {
-                    lu_trailing_update(band, panel_ref, &active, kk, k_end, n);
+                    lu_trailing_update(band, panel_ref, active, kk, k_end, n);
                 })?;
             }
         }
         // urs-analyze: end(no_alloc)
-        Ok(LuDecomposition { lu, perm, perm_sign, singular_at })
+        Ok(DenseLu { lu, perm, perm_sign, singular_at, min_pivot })
     }
 
     /// Dimension of the factorised matrix.
@@ -234,18 +289,24 @@ impl LuDecomposition {
         self.singular_at.is_some()
     }
 
+    /// Modulus of the smallest pivot encountered; a small value indicates (near)
+    /// singularity.
+    pub fn smallest_pivot(&self) -> f64 {
+        self.min_pivot.1
+    }
+
     /// Consumes the decomposition, returning the matrix that stores the packed
     /// factors — useful for recycling the buffer through a [`Workspace`].
-    pub fn into_matrix(self) -> Matrix {
+    pub fn into_matrix(self) -> DenseMatrix<T> {
         self.lu
     }
 
     /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
+    pub fn determinant(&self) -> T {
         if self.singular_at.is_some() {
-            return 0.0;
+            return T::ZERO;
         }
-        let mut det = self.perm_sign;
+        let mut det = T::from_real(self.perm_sign);
         for i in 0..self.dim() {
             det *= self.lu[(i, i)];
         }
@@ -265,8 +326,8 @@ impl LuDecomposition {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b` has the wrong length, or
     /// [`LinalgError::Singular`] if the matrix was singular.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.dim()];
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
+        let mut x = vec![T::ZERO; self.dim()];
         self.solve_into(b, &mut x)?;
         Ok(x)
     }
@@ -276,7 +337,7 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Same as [`solve`](Self::solve), plus a length check on `x`.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<()> {
         self.ensure_regular()?;
         let n = self.dim();
         if b.len() != n || x.len() != n {
@@ -295,7 +356,7 @@ impl LuDecomposition {
         for i in 1..n {
             let row = &d[i * n..i * n + i];
             let mut sum = x[i];
-            for (l, &xj) in row.iter().zip(x.iter()) {
+            for (&l, &xj) in row.iter().zip(x.iter()) {
                 sum -= l * xj;
             }
             x[i] = sum;
@@ -303,7 +364,7 @@ impl LuDecomposition {
         for i in (0..n).rev() {
             let row = &d[i * n..(i + 1) * n];
             let mut sum = x[i];
-            for (u, &xj) in row[i + 1..].iter().zip(x[i + 1..].iter()) {
+            for (&u, &xj) in row[i + 1..].iter().zip(x[i + 1..].iter()) {
                 sum -= u * xj;
             }
             x[i] = sum / row[i];
@@ -317,8 +378,8 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Same as [`solve`](Self::solve), plus a dimension check on `B`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.dim(), b.cols());
+    pub fn solve_matrix(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
+        let mut out = DenseMatrix::zeros(self.dim(), b.cols());
         self.solve_matrix_into(b, &mut out)?;
         Ok(out)
     }
@@ -332,7 +393,7 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Same as [`solve`](Self::solve), plus dimension checks on `B` and `out`.
-    pub fn solve_matrix_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
+    pub fn solve_matrix_into(&self, b: &DenseMatrix<T>, out: &mut DenseMatrix<T>) -> Result<()> {
         self.ensure_regular()?;
         let n = self.dim();
         if b.rows() != n || out.shape() != b.shape() {
@@ -381,8 +442,8 @@ impl LuDecomposition {
     /// Same as [`solve`](Self::solve), plus dimension checks on `B` and `out`.
     pub fn solve_right_matrix_into(
         &self,
-        b: &Matrix,
-        out: &mut Matrix,
+        b: &DenseMatrix<T>,
+        out: &mut DenseMatrix<T>,
         ws: &mut Workspace,
     ) -> Result<()> {
         self.solve_right_matrix_into_with(b, out, ws, &ThreadPool::serial())
@@ -403,8 +464,8 @@ impl LuDecomposition {
     /// [`LinalgError::WorkerPanic`] if a worker panicked.
     pub fn solve_right_matrix_into_with(
         &self,
-        b: &Matrix,
-        out: &mut Matrix,
+        b: &DenseMatrix<T>,
+        out: &mut DenseMatrix<T>,
         ws: &mut Workspace,
         pool: &ThreadPool,
     ) -> Result<()> {
@@ -434,8 +495,8 @@ impl LuDecomposition {
     /// Same as [`solve_right_matrix_into_with`](Self::solve_right_matrix_into_with).
     pub fn solve_right_diagonal_into_with(
         &self,
-        diag: &[f64],
-        out: &mut Matrix,
+        diag: &[T],
+        out: &mut DenseMatrix<T>,
         ws: &mut Workspace,
         pool: &ThreadPool,
     ) -> Result<()> {
@@ -448,7 +509,7 @@ impl LuDecomposition {
                 right: (n, n),
             });
         }
-        out.as_mut_slice().fill(0.0);
+        out.as_mut_slice().fill(T::ZERO);
         for (i, &v) in diag.iter().enumerate() {
             // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
             out[(i, i)] = v;
@@ -460,7 +521,7 @@ impl LuDecomposition {
     /// `solve_right_*` entry points, which differ only in how they seed `out`.
     fn right_solve_rows_with(
         &self,
-        out: &mut Matrix,
+        out: &mut DenseMatrix<T>,
         ws: &mut Workspace,
         pool: &ThreadPool,
     ) -> Result<()> {
@@ -469,16 +530,16 @@ impl LuDecomposition {
         let rows = out.rows();
         let band_rows = par_band_rows(rows, n, n, pool.threads());
         if band_rows >= rows {
-            let mut scratch = ws.real_buffer(n);
+            let mut scratch = ws.buffer(n);
             right_solve_band(out.as_mut_slice(), d, &self.perm, &mut scratch, n);
-            ws.release_real_buffer(scratch);
+            ws.release_buffer(scratch);
             return Ok(());
         }
         let perm = &self.perm;
         pool.par_chunks_mut_with(
             out.as_mut_slice(),
             band_rows * n,
-            || vec![0.0; n],
+            || vec![T::ZERO; n],
             |scratch, _, band| {
                 right_solve_band(band, d, perm, scratch, n);
             },
@@ -491,19 +552,104 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] if the matrix was singular.
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+    pub fn inverse(&self) -> Result<DenseMatrix<T>> {
+        self.solve_matrix(&DenseMatrix::identity(self.dim()))
     }
+
+    /// Returns a right null vector `x` (with `A x ≈ 0`, normalised to unit maximum
+    /// modulus) of a numerically singular matrix.
+    ///
+    /// The vector is obtained by back-substitution through `U`, treating the smallest
+    /// pivot as exactly zero.  For a matrix evaluated at an accurate eigenvalue this is
+    /// the standard and numerically adequate way to recover the eigenvector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidInput`] if the back-substitution produces a
+    /// non-finite vector (which indicates the matrix was not actually near-singular).
+    #[allow(clippy::needless_range_loop)] // back-substitution reads x[j] while writing x[i]
+    pub fn null_vector(&self) -> Result<Vec<T>> {
+        let n = self.dim();
+        let k = self.min_pivot.0;
+        let mut x = vec![T::ZERO; n];
+        // urs-analyze: allow(slice_index, reason = "k is a pivot index, so k < n = x.len()")
+        x[k] = T::ONE;
+        // Solve U[0..k, 0..k] * x[0..k] = -U[0..k, k] by back-substitution.
+        for i in (0..k).rev() {
+            // urs-analyze: allow(slice_index, reason = "back-substitution offsets i < j ≤ k < n")
+            let mut sum = -self.lu[(i, k)];
+            for j in (i + 1)..k {
+                // urs-analyze: allow(slice_index, reason = "back-substitution offsets i < j ≤ k < n")
+                sum -= self.lu[(i, j)] * x[j];
+            }
+            // urs-analyze: allow(slice_index, reason = "back-substitution offsets i < j ≤ k < n")
+            let pivot = self.lu[(i, i)];
+            // A second tiny pivot: fall back to treating this component as free.
+            let xi = if pivot.modulus() < PIVOT_EPS { T::ZERO } else { sum / pivot };
+            // urs-analyze: allow(slice_index, reason = "back-substitution offsets i < j ≤ k < n")
+            x[i] = xi;
+        }
+        let max = x.iter().fold(0.0_f64, |m, z| m.max(z.modulus()));
+        // urs-analyze: allow(float_cmp, reason = "exact-zero test: a max-abs of exactly 0.0 means the extracted vector is identically zero")
+        if !(max.is_finite()) || max == 0.0 {
+            return Err(LinalgError::InvalidInput(
+                "null-vector extraction failed: matrix is not numerically singular".into(),
+            ));
+        }
+        for z in &mut x {
+            *z = *z / max;
+        }
+        Ok(x)
+    }
+
+    /// Returns a left null vector `u` (a row vector with `u A ≈ 0`) of a numerically
+    /// singular matrix.
+    ///
+    /// The original matrix is rebuilt as `P⁻¹ L U` from the stored factors, and the
+    /// right null vector of its transpose is returned, so this costs an additional
+    /// O(n³) factorisation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`null_vector`](Self::null_vector).
+    pub fn left_null_vector(&self) -> Result<Vec<T>> {
+        let n = self.dim();
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                // (L U)_{ij}
+                let mut sum = T::ZERO;
+                for k in 0..=i.min(j) {
+                    // urs-analyze: allow(slice_index, reason = "k ≤ min(i, j) < n indexes the packed factors")
+                    let l = if k == i { T::ONE } else { self.lu[(i, k)] };
+                    // urs-analyze: allow(slice_index, reason = "k ≤ min(i, j) < n indexes the packed factors")
+                    sum += l * self.lu[(k, j)];
+                }
+                // urs-analyze: allow(slice_index, reason = "perm is a permutation of 0..n")
+                a[(self.perm[i], j)] = sum;
+            }
+        }
+        left_null_vector_of(&a)
+    }
+}
+
+/// Left null vector of `a` (row vector `u` with `u·a ≈ 0`).
+///
+/// # Errors
+///
+/// Propagates errors from the LU factorisation and null-vector extraction.
+pub(crate) fn left_null_vector_of<T: Scalar>(a: &DenseMatrix<T>) -> Result<Vec<T>> {
+    DenseLu::new_allow_singular(&a.transpose())?.null_vector()
 }
 
 /// Phase 2b of the blocked elimination: `A22 ← A22 − L21·U12` over a band of rows
 /// below the panel.  Serial and parallel paths both call this on contiguous row
 /// bands, so each row's arithmetic order never depends on the thread count.
 // urs-analyze: begin(no_alloc)
-fn lu_trailing_update(
-    rows: &mut [f64],
-    panel_rows: &[f64],
-    active: &[bool; PANEL],
+fn lu_trailing_update<T: Scalar>(
+    rows: &mut [T],
+    panel_rows: &[T],
+    active: &[bool],
     kk: usize,
     k_end: usize,
     n: usize,
@@ -514,7 +660,7 @@ fn lu_trailing_update(
                 continue;
             }
             let factor = row[k];
-            if factor == 0.0 {
+            if factor == T::ZERO {
                 continue;
             }
             let u_row = &panel_rows[k * n + k_end..(k + 1) * n];
@@ -530,7 +676,13 @@ fn lu_trailing_update(
 /// [`right_solve_row`].  Rows of `X A = B` never exchange data, and both kernels
 /// perform the identical column-ordered substitution per row, so the grouping —
 /// like the worker partitioning above — changes wall time, never bits.
-fn right_solve_band(band: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f64], n: usize) {
+fn right_solve_band<T: Scalar>(
+    band: &mut [T],
+    d: &[T],
+    perm: &[usize],
+    scratch: &mut [T],
+    n: usize,
+) {
     let mut quads = band.chunks_exact_mut(4 * n);
     for quad in &mut quads {
         let (r0, rest) = quad.split_at_mut(n);
@@ -550,14 +702,14 @@ fn right_solve_band(band: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [
 /// rows never read each other — so the result is bit-identical while the factor
 /// traffic drops to a quarter and the chains hide each other's latency.
 #[allow(clippy::too_many_arguments)]
-fn right_solve_rows4(
-    r0: &mut [f64],
-    r1: &mut [f64],
-    r2: &mut [f64],
-    r3: &mut [f64],
-    d: &[f64],
+fn right_solve_rows4<T: Scalar>(
+    r0: &mut [T],
+    r1: &mut [T],
+    r2: &mut [T],
+    r3: &mut [T],
+    d: &[T],
     perm: &[usize],
-    scratch: &mut [f64],
+    scratch: &mut [T],
     n: usize,
 ) {
     // w U = b: forward over columns using row j of U.
@@ -582,8 +734,7 @@ fn right_solve_rows4(
         r3[j] = w3;
         // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
         let u_row = &d[j * n + j + 1..(j + 1) * n];
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-        if w0 != 0.0 && w1 != 0.0 && w2 != 0.0 && w3 != 0.0 {
+        if w0 != T::ZERO && w1 != T::ZERO && w2 != T::ZERO && w3 != T::ZERO {
             for ((((&u, x0), x1), x2), x3) in u_row
                 .iter()
                 // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
@@ -602,8 +753,7 @@ fn right_solve_rows4(
             }
         } else {
             for (w, row) in [(w0, &mut *r0), (w1, &mut *r1), (w2, &mut *r2), (w3, &mut *r3)] {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-                if w != 0.0 {
+                if w != T::ZERO {
                     // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
                     for (x, &u) in row[j + 1..].iter_mut().zip(u_row) {
                         *x -= w * u;
@@ -624,8 +774,7 @@ fn right_solve_rows4(
         let w3 = r3[j];
         // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
         let l_row = &d[j * n..j * n + j];
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-        if w0 != 0.0 && w1 != 0.0 && w2 != 0.0 && w3 != 0.0 {
+        if w0 != T::ZERO && w1 != T::ZERO && w2 != T::ZERO && w3 != T::ZERO {
             for ((((&l, x0), x1), x2), x3) in l_row
                 .iter()
                 // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
@@ -644,8 +793,7 @@ fn right_solve_rows4(
             }
         } else {
             for (w, row) in [(w0, &mut *r0), (w1, &mut *r1), (w2, &mut *r2), (w3, &mut *r3)] {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-                if w != 0.0 {
+                if w != T::ZERO {
                     // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
                     for (x, &l) in row[..j].iter_mut().zip(l_row) {
                         *x -= w * l;
@@ -668,12 +816,12 @@ fn right_solve_rows4(
 /// backward, then scatter through the column permutation using `scratch` (length
 /// `n`).  Factored out so the serial loop and the per-worker parallel bands run the
 /// byte-for-byte identical routine.
-fn right_solve_row(row: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f64], n: usize) {
+fn right_solve_row<T: Scalar>(row: &mut [T], d: &[T], perm: &[usize], scratch: &mut [T], n: usize) {
     // w U = b: forward over columns using row j of U.
     for j in 0..n {
         let wj = row[j] / d[j * n + j];
         row[j] = wj;
-        if wj != 0.0 {
+        if wj != T::ZERO {
             for (x, &u) in row[j + 1..].iter_mut().zip(&d[j * n + j + 1..(j + 1) * n]) {
                 *x -= wj * u;
             }
@@ -682,7 +830,7 @@ fn right_solve_row(row: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f6
     // w L = w' (unit diagonal): backward over columns using row j of L.
     for j in (0..n).rev() {
         let wj = row[j];
-        if wj != 0.0 {
+        if wj != T::ZERO {
             for (x, &l) in row[..j].iter_mut().zip(&d[j * n..j * n + j]) {
                 *x -= wj * l;
             }
@@ -702,7 +850,7 @@ fn right_solve_row(row: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f6
 /// `xi` — the same multiplies and subtractions in the same per-element order (no
 /// fusion, no reassociation), so the result is bit-identical while the `xi`
 /// load/store traffic drops to a quarter.
-fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
+fn substitute_row<T: Scalar>(xi: &mut [T], rhs_rows: &[T], coeffs: &[T], w: usize) {
     let mut j = 0;
     while j + 4 <= coeffs.len() {
         // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
@@ -713,8 +861,7 @@ fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
         let c2 = coeffs[j + 2];
         // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
         let c3 = coeffs[j + 3];
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring the reference substitution loop")
-        if c0 != 0.0 && c1 != 0.0 && c2 != 0.0 && c3 != 0.0 {
+        if c0 != T::ZERO && c1 != T::ZERO && c2 != T::ZERO && c3 != T::ZERO {
             // urs-analyze: allow(slice_index, reason = "RHS rows j..j+3, in range since (j+4)·w ≤ coeffs.len()·w ≤ rhs_rows.len()")
             let r0 = &rhs_rows[j * w..(j + 1) * w];
             // urs-analyze: allow(slice_index, reason = "RHS row j+1, in range as above")
@@ -734,8 +881,7 @@ fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
         } else {
             // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
             for (step, &c) in coeffs[j..j + 4].iter().enumerate() {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring the reference substitution loop")
-                if c != 0.0 {
+                if c != T::ZERO {
                     let jj = j + step;
                     // urs-analyze: allow(slice_index, reason = "RHS row jj < coeffs.len(), so (jj+1)·w ≤ rhs_rows.len()")
                     let xj = &rhs_rows[jj * w..(jj + 1) * w];
@@ -748,8 +894,7 @@ fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
         j += 4;
     }
     for (tail, &c) in coeffs.iter().enumerate().skip(j) {
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring the reference substitution loop")
-        if c != 0.0 {
+        if c != T::ZERO {
             // urs-analyze: allow(slice_index, reason = "RHS row tail < coeffs.len(), so (tail+1)·w ≤ rhs_rows.len()")
             let xj = &rhs_rows[tail * w..(tail + 1) * w];
             for (t, &v) in xi.iter_mut().zip(xj) {
@@ -763,6 +908,7 @@ fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CMatrix, Matrix};
 
     fn reconstruct(lu: &LuDecomposition, n: usize) -> Matrix {
         // Rebuild P^T * L * U to compare against A.
@@ -803,7 +949,7 @@ mod tests {
     #[test]
     fn blocked_factorisation_crosses_panel_boundaries() {
         // n > PANEL exercises the deferred trailing update; reconstruction must hold.
-        let n = PANEL + 13;
+        let n = MAX_PANEL + 13;
         let mut seed = 3_u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -885,6 +1031,8 @@ mod tests {
         let a = Matrix::identity(3);
         let lu = LuDecomposition::new(&a).unwrap();
         assert!(matches!(lu.solve(&[1.0]), Err(LinalgError::DimensionMismatch { .. })));
+        let lu = CluDecomposition::new(&CMatrix::identity(2)).unwrap();
+        assert!(matches!(lu.solve(&[Complex::ONE]), Err(LinalgError::DimensionMismatch { .. })));
     }
 
     #[test]
@@ -921,5 +1069,94 @@ mod tests {
         assert!((back[0] - 1.0).abs() < 1e-12 && back[1].abs() < 1e-12);
         let storage = lu.into_matrix();
         assert_eq!(storage.shape(), (2, 2));
+    }
+
+    fn residual(a: &CMatrix, x: &[Complex], b: &[Complex]) -> f64 {
+        let ax = a.matvec(x).unwrap();
+        ax.iter().zip(b).map(|(p, q)| (*p - *q).abs()).fold(0.0_f64, f64::max)
+    }
+
+    #[test]
+    fn solve_complex_system() {
+        let mut a = CMatrix::zeros(2, 2);
+        a[(0, 0)] = Complex::new(1.0, 1.0);
+        a[(0, 1)] = Complex::new(2.0, 0.0);
+        a[(1, 0)] = Complex::new(0.0, -1.0);
+        a[(1, 1)] = Complex::new(3.0, 1.0);
+        let b = [Complex::new(1.0, 0.0), Complex::new(0.0, 1.0)];
+        let x = CluDecomposition::new(&a).unwrap().solve(&b).unwrap();
+        assert!(residual(&a, &x, &b) < 1e-13);
+    }
+
+    #[test]
+    fn determinant_of_diagonal() {
+        let mut a = CMatrix::zeros(3, 3);
+        a[(0, 0)] = Complex::new(2.0, 0.0);
+        a[(1, 1)] = Complex::new(0.0, 1.0);
+        a[(2, 2)] = Complex::new(1.0, -1.0);
+        let det = CluDecomposition::new(&a).unwrap().determinant();
+        // 2 * i * (1 - i) = 2i + 2 = 2 + 2i
+        assert!((det - Complex::new(2.0, 2.0)).abs() < 1e-14);
+    }
+
+    #[test]
+    fn singular_detection_and_null_vector() {
+        // rank-1 matrix: rows (1, 2), (2, 4)
+        let mut a = CMatrix::zeros(2, 2);
+        a[(0, 0)] = Complex::new(1.0, 0.0);
+        a[(0, 1)] = Complex::new(2.0, 0.0);
+        a[(1, 0)] = Complex::new(2.0, 0.0);
+        a[(1, 1)] = Complex::new(4.0, 0.0);
+        assert!(CluDecomposition::new(&a).is_err());
+        let lu = CluDecomposition::new_allow_singular(&a).unwrap();
+        let x = lu.null_vector().unwrap();
+        let ax = a.matvec(&x).unwrap();
+        assert!(ax.iter().all(|z| z.abs() < 1e-12));
+    }
+
+    #[test]
+    fn left_null_vector_annihilates_rows() {
+        let mut a = CMatrix::zeros(3, 3);
+        // Columns 0 and 1 independent, column 2 = column 0 + column 1 -> singular.
+        let vals = [[1.0, 2.0, 3.0], [0.5, -1.0, -0.5], [2.0, 1.0, 3.0]];
+        for i in 0..3 {
+            for j in 0..3 {
+                a[(i, j)] = Complex::new(vals[i][j], 0.0);
+            }
+        }
+        // Make the matrix row-rank deficient instead: set row 2 = row0 + row1.
+        for j in 0..3 {
+            a[(2, j)] = a[(0, j)] + a[(1, j)];
+        }
+        let u = left_null_vector_of(&a).unwrap();
+        let ua = a.vecmat(&u).unwrap();
+        assert!(ua.iter().all(|z| z.abs() < 1e-12), "u A = {ua:?}");
+    }
+
+    #[test]
+    fn left_null_vector_method_matches_helper() {
+        let mut a = CMatrix::zeros(2, 2);
+        for i in 0..2 {
+            for j in 0..2 {
+                a[(i, j)] = Complex::new(1.0, (i + j) as f64);
+            }
+        }
+        // Make singular: row 1 = 2 * row 0.
+        for j in 0..2 {
+            a[(1, j)] = a[(0, j)] * 2.0;
+        }
+        let via_method =
+            CluDecomposition::new_allow_singular(&a).unwrap().left_null_vector().unwrap();
+        let ua = a.vecmat(&via_method).unwrap();
+        assert!(ua.iter().all(|z| z.abs() < 1e-12));
+    }
+
+    #[test]
+    fn empty_matrix_rejected() {
+        let empty = LinalgError::InvalidInput("matrix must be non-empty".into());
+        assert_eq!(LuDecomposition::new(&Matrix::zeros(0, 0)).unwrap_err(), empty);
+        assert_eq!(Matrix::zeros(0, 0).determinant().unwrap_err(), empty);
+        assert_eq!(CluDecomposition::new_allow_singular(&CMatrix::zeros(0, 0)).unwrap_err(), empty);
+        assert_eq!(CMatrix::zeros(0, 0).determinant().unwrap_err(), empty);
     }
 }

@@ -1,17 +1,27 @@
-//! Dense, row-major real matrices.
+//! Dense, row-major matrices over any [`Scalar`]: [`Matrix`] (`f64`) and
+//! [`CMatrix`] ([`Complex`]).
 
 use std::fmt;
+use std::mem::size_of;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
+use crate::complex::Complex;
 use crate::error::LinalgError;
-use crate::lu::LuDecomposition;
+use crate::lu::DenseLu;
 use crate::parallel::ThreadPool;
+use crate::scalar::Scalar;
 use crate::Result;
 
 /// Work (in multiply-adds) below which a parallel kernel call is not worth the
-/// scoped-thread spawn and falls back to the serial path.  Shared by the real and
-/// complex gemm and by the right-solve row fan-outs.
+/// scoped-thread spawn and falls back to the serial path.  Shared by gemm and by
+/// the LU trailing-update and right-solve row fan-outs.
 pub(crate) const MIN_PAR_WORK: usize = 32 * 1024;
+
+/// Byte widths of the gemm tiles: a tile spans `GEMM_TILE_K_BYTES / size_of::<T>()`
+/// rows of `b` and `GEMM_TILE_J_BYTES / size_of::<T>()` columns — 64×256 for
+/// `f64`, 32×128 for [`Complex`].
+const GEMM_TILE_K_BYTES: usize = 512;
+const GEMM_TILE_J_BYTES: usize = 2048;
 
 /// Rows per parallel band when partitioning `m` output rows of an `m×k · k×n`
 /// product (or a row-independent solve of equivalent cost) across `threads`
@@ -27,14 +37,23 @@ pub(crate) fn par_band_rows(m: usize, k: usize, n: usize, threads: usize) -> usi
     m.div_ceil(4 * threads).max(1)
 }
 
-/// A dense, row-major matrix of `f64` values.
+/// A dense, row-major matrix of [`Scalar`] values.
 ///
-/// The type is intentionally simple: it owns a `Vec<f64>` of length `rows * cols` and
+/// The type is intentionally simple: it owns a `Vec<T>` of length `rows * cols` and
 /// provides the constructors, element access, and arithmetic that the queueing solvers
 /// need.  All operations that can fail (shape mismatches, singular systems) return a
 /// [`LinalgError`](crate::LinalgError) instead of panicking, with the exception of the
 /// indexing operators which follow the standard library convention of panicking on
-/// out-of-bounds access.
+/// out-of-bounds access.  The two instantiations are named [`Matrix`] and [`CMatrix`].
+#[derive(Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct DenseMatrix<T: Scalar> {
+    rows: usize,
+    cols: usize,
+    data: Vec<T>,
+}
+
+/// A dense real matrix.
 ///
 /// # Example
 ///
@@ -50,15 +69,24 @@ pub(crate) fn par_band_rows(m: usize, k: usize, n: usize, threads: usize) -> usi
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
+pub type Matrix = DenseMatrix<f64>;
 
-impl Matrix {
+/// A dense complex matrix; the spectral-expansion solver evaluates the
+/// characteristic matrix polynomial `Q(z)` into one at every eigenvalue.
+///
+/// # Example
+///
+/// ```
+/// use urs_linalg::{CMatrix, Complex};
+///
+/// let mut m = CMatrix::zeros(2, 2);
+/// m[(0, 0)] = Complex::new(1.0, 1.0);
+/// m[(1, 1)] = Complex::new(0.0, -2.0);
+/// assert_eq!(m.trace().unwrap(), Complex::new(1.0, -1.0));
+/// ```
+pub type CMatrix = DenseMatrix<Complex>;
+
+impl<T: Scalar> DenseMatrix<T> {
     /// Creates a matrix of the given shape filled with zeros.
     ///
     /// # Panics
@@ -66,26 +94,27 @@ impl Matrix {
     /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         // urs-analyze: allow(no_panic, reason = "usize overflow of rows*cols is documented under # Panics; a Result here would infect every kernel signature")
-        Matrix { rows, cols, data: vec![0.0; rows.checked_mul(cols).expect("matrix too large")] }
+        let len = rows.checked_mul(cols).expect("matrix too large");
+        DenseMatrix { rows, cols, data: vec![T::ZERO; len] }
     }
 
     /// Creates a matrix filled with a constant value.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix { rows, cols, data: vec![value; rows * cols] }
+    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
+        DenseMatrix { rows, cols, data: vec![value; rows * cols] }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
+        let mut m = Self::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = 1.0;
+            m[(i, i)] = T::ONE;
         }
         m
     }
 
     /// Creates a square diagonal matrix from a slice of diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let mut m = Matrix::zeros(diag.len(), diag.len());
+    pub fn from_diagonal(diag: &[T]) -> Self {
+        let mut m = Self::zeros(diag.len(), diag.len());
         for (i, &d) in diag.iter().enumerate() {
             m[(i, i)] = d;
         }
@@ -93,8 +122,8 @@ impl Matrix {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
+    pub fn from_fn<F: FnMut(usize, usize) -> T>(rows: usize, cols: usize, mut f: F) -> Self {
+        let mut m = Self::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
                 m[(i, j)] = f(i, j);
@@ -109,7 +138,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::InvalidInput`] if the rows are empty or have differing
     /// lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self> {
+    pub fn from_rows(rows: &[&[T]]) -> Result<Self> {
         if rows.is_empty() || rows[0].is_empty() {
             return Err(LinalgError::InvalidInput("matrix must have at least one element".into()));
         }
@@ -125,7 +154,7 @@ impl Matrix {
             }
             data.extend_from_slice(row);
         }
-        Ok(Matrix { rows: rows.len(), cols, data })
+        Ok(DenseMatrix { rows: rows.len(), cols, data })
     }
 
     /// Creates a matrix from a flat row-major vector.
@@ -133,7 +162,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidInput`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(LinalgError::InvalidInput(format!(
                 "expected {} elements for a {rows}x{cols} matrix, found {}",
@@ -141,7 +170,7 @@ impl Matrix {
                 data.len()
             )));
         }
-        Ok(Matrix { rows, cols, data })
+        Ok(DenseMatrix { rows, cols, data })
     }
 
     /// Number of rows.
@@ -170,13 +199,13 @@ impl Matrix {
 
     /// Borrow the underlying row-major data.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Mutably borrow the underlying row-major data.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
@@ -186,13 +215,13 @@ impl Matrix {
     /// [`Workspace`](crate::Workspace) recycle matrix storage across hot-loop
     /// iterations without reallocating.
     #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
+    pub fn into_vec(self) -> Vec<T> {
         self.data
     }
 
     /// Element access returning `None` when out of bounds.
     #[inline]
-    pub fn get(&self, row: usize, col: usize) -> Option<f64> {
+    pub fn get(&self, row: usize, col: usize) -> Option<T> {
         if row < self.rows && col < self.cols {
             Some(self.data[row * self.cols + col])
         } else {
@@ -206,7 +235,7 @@ impl Matrix {
     ///
     /// Panics if `row >= self.rows()`.
     #[inline]
-    pub fn row(&self, row: usize) -> &[f64] {
+    pub fn row(&self, row: usize) -> &[T] {
         assert!(row < self.rows, "row index {row} out of bounds ({} rows)", self.rows);
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
@@ -216,28 +245,32 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `col >= self.cols()`.
-    pub fn column(&self, col: usize) -> Vec<f64> {
+    pub fn column(&self, col: usize) -> Vec<T> {
         assert!(col < self.cols, "column index {col} out of bounds ({} columns)", self.cols);
         (0..self.rows).map(|i| self[(i, col)]).collect()
     }
 
     /// Returns the main diagonal as a vector (length `min(rows, cols)`).
-    pub fn diagonal(&self) -> Vec<f64> {
+    pub fn diagonal(&self) -> Vec<T> {
         (0..self.rows.min(self.cols)).map(|i| self[(i, i)]).collect()
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+    /// Plain transpose (no conjugation).
+    pub fn transpose(&self) -> Self {
+        Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
     /// Applies a function to every element, returning a new matrix.
-    pub fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
+    pub fn map<F: FnMut(T) -> T>(&self, mut f: F) -> Self {
+        DenseMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&x| f(x)).collect(),
+        }
     }
 
     /// Multiplies every element by a scalar.
-    pub fn scale(&self, factor: f64) -> Matrix {
+    pub fn scale(&self, factor: T) -> Self {
         self.map(|x| x * factor)
     }
 
@@ -248,9 +281,9 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        out.gemm(1.0, self, rhs, 0.0)?;
+    pub fn matmul(&self, rhs: &Self) -> Result<Self> {
+        let mut out = Self::zeros(self.rows, rhs.cols);
+        out.gemm(T::ONE, self, rhs, T::ZERO)?;
         Ok(out)
     }
 
@@ -259,7 +292,7 @@ impl Matrix {
     /// This is the workhorse kernel of the workspace: it allocates nothing, skips
     /// zero elements of `a` (the QBD generator blocks are sparse bands), and tiles
     /// the `k` and `j` loops so a slab of `b` stays cache-resident while every row
-    /// of `a` streams past it.  `beta == 0.0` overwrites `self` outright (no
+    /// of `a` streams past it.  `beta == 0` overwrites `self` outright (no
     /// `0 · NaN` propagation); accumulation order over `k` is ascending regardless
     /// of the tiling, so results do not depend on the block sizes.
     ///
@@ -267,7 +300,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] unless
     /// `self.shape() == (a.rows(), b.cols())` and `a.cols() == b.rows()`.
-    pub fn gemm(&mut self, alpha: f64, a: &Matrix, b: &Matrix, beta: f64) -> Result<()> {
+    pub fn gemm(&mut self, alpha: T, a: &Self, b: &Self, beta: T) -> Result<()> {
         self.gemm_with(alpha, a, b, beta, &ThreadPool::serial())
     }
 
@@ -285,10 +318,10 @@ impl Matrix {
     /// panicked.
     pub fn gemm_with(
         &mut self,
-        alpha: f64,
-        a: &Matrix,
-        b: &Matrix,
-        beta: f64,
+        alpha: T,
+        a: &Self,
+        b: &Self,
+        beta: T,
         pool: &ThreadPool,
     ) -> Result<()> {
         if a.cols != b.rows || self.rows != a.rows || self.cols != b.cols {
@@ -317,7 +350,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if the shapes differ.
-    pub fn copy_from(&mut self, other: &Matrix) -> Result<()> {
+    pub fn copy_from(&mut self, other: &Self) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(LinalgError::DimensionMismatch {
                 operation: "matrix copy",
@@ -334,7 +367,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if the shapes differ.
-    pub fn add_scaled(&mut self, alpha: f64, other: &Matrix) -> Result<()> {
+    pub fn add_scaled(&mut self, alpha: T, other: &Self) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(LinalgError::DimensionMismatch {
                 operation: "matrix scaled addition",
@@ -349,16 +382,17 @@ impl Matrix {
     }
 
     /// Multiplies every element by a scalar, in place.
-    pub fn scale_mut(&mut self, factor: f64) {
+    pub fn scale_mut(&mut self, factor: T) {
         for x in &mut self.data {
             *x *= factor;
         }
     }
 
-    /// Scales column `j` by `diag[j]`, in place — the cheap form of right-multiplying
-    /// by a diagonal matrix (`self ← self · diag(d)`), `O(n²)` instead of a dense
-    /// `O(n³)` product.  The QBD departure matrix `C` and arrival matrix `B = λI` are
-    /// both diagonal, so the solvers use this for every `X·C` product.
+    /// Scales column `j` by the real factor `diag[j]`, in place — the cheap form of
+    /// right-multiplying by a real diagonal matrix (`self ← self · diag(d)`), `O(n²)`
+    /// instead of a dense `O(n³)` product.  The QBD departure matrix `C` and arrival
+    /// matrix `B = λI` are both diagonal, so the solvers use this for every `X·C`
+    /// product.
     ///
     /// # Errors
     ///
@@ -379,20 +413,52 @@ impl Matrix {
         Ok(())
     }
 
+    /// Adds `shift` to every diagonal entry in place, turning a matrix `A` into
+    /// `A + shift·I` — the `O(n)` step that completes a resolvent assembly after
+    /// [`copy_from_real`](CMatrix::copy_from_real).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NotSquare`] for non-square matrices.
+    pub fn shift_diagonal(&mut self, shift: T) -> Result<()> {
+        if !self.is_square() {
+            return Err(LinalgError::NotSquare { rows: self.rows, cols: self.cols });
+        }
+        for x in self.data.iter_mut().step_by(self.cols + 1) {
+            *x += shift;
+        }
+        Ok(())
+    }
+
     /// Matrix–vector product `self * v` (v as a column vector).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
+    pub fn matvec(&self, v: &[T]) -> Result<Vec<T>> {
+        let mut out = vec![T::ZERO; self.rows];
+        self.matvec_into(v, &mut out)?;
+        Ok(out)
+    }
+
+    /// Matrix–vector product `out = self * v` into a caller-provided buffer; each
+    /// output element sums its row's products in ascending column order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `v` or `out` has the wrong length.
+    pub fn matvec_into(&self, v: &[T], out: &mut [T]) -> Result<()> {
+        if v.len() != self.cols || out.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
                 operation: "matrix-vector product",
                 left: self.shape(),
                 right: (v.len(), 1),
             });
         }
-        Ok((0..self.rows).map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum()).collect())
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = dot(self.row(i), v);
+        }
+        Ok(())
     }
 
     /// Row-vector–matrix product `v * self`.
@@ -400,7 +466,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != self.rows()`.
-    pub fn vecmat(&self, v: &[f64]) -> Result<Vec<f64>> {
+    pub fn vecmat(&self, v: &[T]) -> Result<Vec<T>> {
         if v.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
                 operation: "vector-matrix product",
@@ -408,9 +474,9 @@ impl Matrix {
                 right: self.shape(),
             });
         }
-        let mut out = vec![0.0; self.cols];
+        let mut out = vec![T::ZERO; self.cols];
         for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
+            if vi == T::ZERO {
                 continue;
             }
             for j in 0..self.cols {
@@ -425,7 +491,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square matrices.
-    pub fn trace(&self) -> Result<f64> {
+    pub fn trace(&self) -> Result<T> {
         if !self.is_square() {
             return Err(LinalgError::NotSquare { rows: self.rows, cols: self.cols });
         }
@@ -433,64 +499,57 @@ impl Matrix {
     }
 
     /// Row sums, i.e. `self * 1`.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| self.row(i).iter().sum()).collect()
+    pub fn row_sums(&self) -> Vec<T> {
+        (0..self.rows).map(|i| self.row(i).iter().copied().sum()).collect()
     }
 
-    /// Maximum absolute value of any element (the max norm).
+    /// Maximum absolute value (modulus) of any element (the max norm).
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.modulus()))
     }
 
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
+        self.data.iter().map(|&x| x.modulus() * x.modulus()).sum::<f64>().sqrt()
     }
 
     /// Infinity norm (maximum absolute row sum).
     pub fn inf_norm(&self) -> f64 {
         (0..self.rows)
-            .map(|i| self.row(i).iter().map(|x| x.abs()).sum::<f64>())
+            .map(|i| self.row(i).iter().map(|&x| x.modulus()).sum::<f64>())
             .fold(0.0_f64, f64::max)
     }
 
     /// Returns `true` when every element is finite.
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.data.iter().all(|&x| x.is_finite())
     }
 
-    /// Returns `true` when all elements of the two matrices differ by at most `tol`.
-    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
+    /// Returns `true` when all elements of the two matrices differ by at most `tol`
+    /// in absolute value.
+    pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
         self.shape() == other.shape()
-            && self.data.iter().zip(&other.data).all(|(a, b)| (a - b).abs() <= tol)
+            && self.data.iter().zip(&other.data).all(|(&a, &b)| (a - b).modulus() <= tol)
     }
 
     /// LU factorisation with partial pivoting.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input or
-    /// [`LinalgError::Singular`] when a zero pivot is encountered.
-    pub fn lu(&self) -> Result<LuDecomposition> {
-        LuDecomposition::new(self)
+    /// See [`DenseLu::new`].
+    pub fn lu(&self) -> Result<DenseLu<T>> {
+        DenseLu::new(self)
     }
 
-    /// Determinant via LU factorisation.
-    ///
-    /// Returns `0.0` for singular matrices rather than an error.
+    /// Determinant via LU factorisation; `0` for singular matrices rather than an
+    /// error.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input.
-    pub fn determinant(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare { rows: self.rows, cols: self.cols });
-        }
-        match LuDecomposition::new(self) {
-            Ok(lu) => Ok(lu.determinant()),
-            Err(LinalgError::Singular { .. }) => Ok(0.0),
-            Err(e) => Err(e),
-        }
+    /// Returns [`LinalgError::NotSquare`] for non-square input and
+    /// [`LinalgError::InvalidInput`] for empty or non-finite input.
+    pub fn determinant(&self) -> Result<T> {
+        Ok(DenseLu::new_allow_singular(self)?.determinant())
     }
 
     /// Matrix inverse via LU factorisation.
@@ -498,7 +557,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-    pub fn inverse(&self) -> Result<Matrix> {
+    pub fn inverse(&self) -> Result<Self> {
         self.lu()?.inverse()
     }
 
@@ -508,7 +567,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::NotSquare`], [`LinalgError::Singular`] or
     /// [`LinalgError::DimensionMismatch`].
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
         self.lu()?.solve(b)
     }
 
@@ -518,9 +577,64 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::NotSquare`], [`LinalgError::Singular`] or
     /// [`LinalgError::DimensionMismatch`].
-    pub fn solve_left(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub fn solve_left(&self, b: &[T]) -> Result<Vec<T>> {
         self.transpose().solve(b)
     }
+}
+
+impl CMatrix {
+    /// Embeds a real matrix as a complex matrix with zero imaginary parts.
+    pub fn from_real(a: &Matrix) -> Self {
+        let data = a.as_slice().iter().map(|&x| Complex::from_real(x)).collect();
+        DenseMatrix { rows: a.rows(), cols: a.cols(), data }
+    }
+
+    /// Overwrites this matrix with the entries of a real matrix (zero imaginary
+    /// parts), without reallocating — the allocation-free form of
+    /// [`from_real`](Self::from_real) for [`Workspace`](crate::Workspace)-pooled
+    /// buffers.  Together with [`shift_diagonal`](Self::shift_diagonal) this is the
+    /// assembly path for resolvent matrices `sI − Q` whose real part `−Q` is fixed
+    /// while `s` runs over the nodes of a quadrature rule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if the shapes differ.
+    pub fn copy_from_real(&mut self, a: &Matrix) -> Result<()> {
+        if self.shape() != a.shape() {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "copy real matrix into complex matrix",
+                left: self.shape(),
+                right: a.shape(),
+            });
+        }
+        for (dst, &src) in self.data.iter_mut().zip(a.as_slice()) {
+            *dst = Complex::from_real(src);
+        }
+        Ok(())
+    }
+
+    /// Conjugate transpose (Hermitian adjoint).
+    pub fn adjoint(&self) -> CMatrix {
+        CMatrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
+    }
+
+    /// Real parts of all entries as a real matrix.
+    pub fn real_part(&self) -> Matrix {
+        Matrix::from_fn(self.rows, self.cols, |i, j| self[(i, j)].re)
+    }
+
+    /// Largest absolute value of any imaginary part; useful for asserting that a result
+    /// which must be real actually is.
+    pub fn max_imag_abs(&self) -> f64 {
+        self.data.iter().fold(0.0_f64, |m, z| m.max(z.im.abs()))
+    }
+}
+
+/// `Σ a[j]·b[j]` in ascending `j` through the scalar's [`Sum`](std::iter::Sum),
+/// the accumulation every matrix–vector product of the crate shares.
+#[inline]
+pub(crate) fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// The tiled multiply-accumulate body of [`Matrix::gemm`] restricted to a band of
@@ -533,24 +647,24 @@ impl Matrix {
 /// parallel run — which only re-partitions `i`, never the per-element `k` order —
 /// reproduces it bit for bit.
 // urs-analyze: begin(no_alloc)
-fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usize, n: usize) {
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
+fn gemm_band<T: Scalar>(c: &mut [T], a: &[T], b: &[T], alpha: T, beta: T, k: usize, n: usize) {
+    if beta == T::ZERO {
+        c.fill(T::ZERO);
+    } else if beta != T::ONE {
         for x in c.iter_mut() {
             *x *= beta;
         }
     }
-    if alpha == 0.0 || n == 0 {
+    if alpha == T::ZERO || n == 0 {
         return;
     }
     let m = c.len() / n;
-    const KB: usize = 64;
-    const JB: usize = 256;
-    for kk in (0..k).step_by(KB) {
-        let k_end = (kk + KB).min(k);
-        for jj in (0..n).step_by(JB) {
-            let j_end = (jj + JB).min(n);
+    let kb = GEMM_TILE_K_BYTES / size_of::<T>();
+    let jb = GEMM_TILE_J_BYTES / size_of::<T>();
+    for kk in (0..k).step_by(kb) {
+        let k_end = (kk + kb).min(k);
+        for jj in (0..n).step_by(jb) {
+            let j_end = (jj + jb).min(n);
             // Quads of output rows whose `a` panels are fully dense run the
             // fused four-row kernel, which reads each `b` row once for all four
             // accumulator rows; everything else takes the per-row panel kernel.
@@ -566,10 +680,7 @@ fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usiz
                 let t2 = &a[(i0 + 2) * k + kk..(i0 + 2) * k + k_end];
                 // urs-analyze: allow(slice_index, reason = "a panel for row i0+3, in range as above")
                 let t3 = &a[(i0 + 3) * k + kk..(i0 + 3) * k + k_end];
-                // urs-analyze: allow(float_cmp, reason = "exact-zero scan choosing between the skipping and branch-free loops; both compute the same sum")
-                let dense =
-                    // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip branch; bitwise test is part of the bit-identity contract")
-                    t0.iter().chain(t1).chain(t2).chain(t3).all(|&v| v != 0.0);
+                let dense = t0.iter().chain(t1).chain(t2).chain(t3).all(|&v| v != T::ZERO);
                 if dense {
                     // urs-analyze: allow(slice_index, reason = "c rows i0..i0+3, in range since (i0+4)·n ≤ m·n = c.len()")
                     let block = &mut c[i0 * n..(i0 + 4) * n];
@@ -634,18 +745,17 @@ fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usiz
 /// performs the identical ascending-`k` accumulation over the same nonzero
 /// terms, so the gate changes wall time, not bits.
 #[allow(clippy::too_many_arguments)]
-fn gemm_row_panel(
-    c_row: &mut [f64],
-    a_tile: &[f64],
-    b: &[f64],
-    alpha: f64,
+fn gemm_row_panel<T: Scalar>(
+    c_row: &mut [T],
+    a_tile: &[T],
+    b: &[T],
+    alpha: T,
     kk: usize,
     jj: usize,
     j_end: usize,
     n: usize,
 ) {
-    // urs-analyze: allow(float_cmp, reason = "exact-zero scan choosing between the skipping and branch-free loops; both compute the same sum")
-    if a_tile.iter().all(|&v| v != 0.0) {
+    if a_tile.iter().all(|&v| v != T::ZERO) {
         // Four k-steps per pass over the output row: each element still
         // receives the same multiplies and adds in the same ascending-`k`
         // order as four single sweeps would apply (no fused multiply-add, no
@@ -693,8 +803,7 @@ fn gemm_row_panel(
     } else {
         for (offset, &av) in a_tile.iter().enumerate() {
             let aip = alpha * av;
-            // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip branch; bitwise test is part of the bit-identity contract")
-            if aip == 0.0 {
+            if aip == T::ZERO {
                 continue;
             }
             let p = kk + offset;
@@ -714,11 +823,11 @@ fn gemm_row_panel(
 /// adds of [`gemm_row_panel`]'s dense branch in the same ascending-`k` order —
 /// rows never read each other, so the fusion changes wall time, not bits.
 #[allow(clippy::too_many_arguments)]
-fn gemm_rows4_panel(
-    c_rows: [&mut [f64]; 4],
-    a_tiles: [&[f64]; 4],
-    b: &[f64],
-    alpha: f64,
+fn gemm_rows4_panel<T: Scalar>(
+    c_rows: [&mut [T]; 4],
+    a_tiles: [&[T]; 4],
+    b: &[T],
+    alpha: T,
     kk: usize,
     jj: usize,
     j_end: usize,
@@ -830,10 +939,10 @@ fn gemm_rows4_panel(
 }
 // urs-analyze: end(no_alloc)
 
-impl Index<(usize, usize)> for Matrix {
-    type Output = f64;
+impl<T: Scalar> Index<(usize, usize)> for DenseMatrix<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, (row, col): (usize, usize)) -> &f64 {
+    fn index(&self, (row, col): (usize, usize)) -> &T {
         assert!(
             row < self.rows && col < self.cols,
             "index ({row},{col}) out of bounds for {}x{} matrix",
@@ -844,9 +953,9 @@ impl Index<(usize, usize)> for Matrix {
     }
 }
 
-impl IndexMut<(usize, usize)> for Matrix {
+impl<T: Scalar> IndexMut<(usize, usize)> for DenseMatrix<T> {
     #[inline]
-    fn index_mut(&mut self, (row, col): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (row, col): (usize, usize)) -> &mut T {
         assert!(
             row < self.rows && col < self.cols,
             "index ({row},{col}) out of bounds for {}x{} matrix",
@@ -857,7 +966,7 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Debug for Matrix {
+impl<T: Scalar> fmt::Debug for DenseMatrix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         for i in 0..self.rows {
@@ -874,46 +983,46 @@ impl fmt::Debug for Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
+impl<T: Scalar> fmt::Display for DenseMatrix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
     }
 }
 
-impl Add for &Matrix {
-    type Output = Matrix;
-    fn add(self, rhs: &Matrix) -> Matrix {
+impl<T: Scalar> Add for &DenseMatrix<T> {
+    type Output = DenseMatrix<T>;
+    fn add(self, rhs: &DenseMatrix<T>) -> DenseMatrix<T> {
         assert_eq!(self.shape(), rhs.shape(), "matrix addition requires equal shapes");
-        Matrix {
+        DenseMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect(),
+            data: self.data.iter().zip(&rhs.data).map(|(&a, &b)| a + b).collect(),
         }
     }
 }
 
-impl Sub for &Matrix {
-    type Output = Matrix;
-    fn sub(self, rhs: &Matrix) -> Matrix {
+impl<T: Scalar> Sub for &DenseMatrix<T> {
+    type Output = DenseMatrix<T>;
+    fn sub(self, rhs: &DenseMatrix<T>) -> DenseMatrix<T> {
         assert_eq!(self.shape(), rhs.shape(), "matrix subtraction requires equal shapes");
-        Matrix {
+        DenseMatrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect(),
+            data: self.data.iter().zip(&rhs.data).map(|(&a, &b)| a - b).collect(),
         }
     }
 }
 
-impl Neg for &Matrix {
-    type Output = Matrix;
-    fn neg(self) -> Matrix {
+impl<T: Scalar> Neg for &DenseMatrix<T> {
+    type Output = DenseMatrix<T>;
+    fn neg(self) -> DenseMatrix<T> {
         self.map(|x| -x)
     }
 }
 
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-    fn mul(self, rhs: f64) -> Matrix {
+impl<T: Scalar> Mul<T> for &DenseMatrix<T> {
+    type Output = DenseMatrix<T>;
+    fn mul(self, rhs: T) -> DenseMatrix<T> {
         self.scale(rhs)
     }
 }
@@ -980,6 +1089,8 @@ mod tests {
         let a = sample();
         let err = a.matmul(&a).unwrap_err();
         assert!(matches!(err, LinalgError::DimensionMismatch { .. }));
+        let c = CMatrix::zeros(2, 3);
+        assert!(matches!(c.matmul(&c), Err(LinalgError::DimensionMismatch { .. })));
     }
 
     #[test]
@@ -1008,6 +1119,14 @@ mod tests {
         assert_eq!(&twice - &a, a);
         assert_eq!((&-(&a))[(0, 0)], -1.0);
         assert_eq!((&a * 3.0)[(1, 2)], 18.0);
+
+        let a = CMatrix::identity(2);
+        let b = &a + &a;
+        assert_eq!(b[(0, 0)], Complex::new(2.0, 0.0));
+        let c = &b - &a;
+        assert!(c.approx_eq(&a, 0.0));
+        let d = &a * Complex::I;
+        assert_eq!(d[(1, 1)], Complex::I);
     }
 
     #[test]
@@ -1057,5 +1176,103 @@ mod tests {
     fn debug_output_contains_dimensions() {
         let text = format!("{:?}", sample());
         assert!(text.contains("2x3"));
+    }
+
+    #[test]
+    fn complex_identity_and_indexing() {
+        let id = CMatrix::identity(3);
+        assert_eq!(id[(1, 1)], Complex::ONE);
+        assert_eq!(id[(0, 1)], Complex::ZERO);
+        assert_eq!(id.trace().unwrap(), Complex::new(3.0, 0.0));
+    }
+
+    #[test]
+    fn from_real_round_trip() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]).unwrap();
+        let c = CMatrix::from_real(&a);
+        assert_eq!(c.real_part(), a);
+        assert_eq!(c.max_imag_abs(), 0.0);
+    }
+
+    #[test]
+    fn copy_from_real_reuses_storage_and_matches_from_real() {
+        let a = Matrix::from_rows(&[&[1.0, -2.0][..], &[0.5, 4.0][..]]).unwrap();
+        let mut c = CMatrix::zeros(2, 2);
+        c[(0, 0)] = Complex::new(9.0, 9.0); // stale content must be overwritten
+        c.copy_from_real(&a).unwrap();
+        assert!(c.approx_eq(&CMatrix::from_real(&a), 0.0));
+        let wrong = CMatrix::zeros(3, 2);
+        assert!(matches!({ wrong }.copy_from_real(&a), Err(LinalgError::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn shift_diagonal_builds_resolvent_matrix() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]).unwrap();
+        let s = Complex::new(0.5, -1.5);
+        let mut c = CMatrix::from_real(&a);
+        c.shift_diagonal(s).unwrap();
+        assert_eq!(c[(0, 0)], Complex::new(1.0, 0.0) + s);
+        assert_eq!(c[(1, 1)], Complex::new(4.0, 0.0) + s);
+        assert_eq!(c[(0, 1)], Complex::new(2.0, 0.0));
+        assert!(matches!(
+            CMatrix::zeros(2, 3).shift_diagonal(s),
+            Err(LinalgError::NotSquare { .. })
+        ));
+    }
+
+    #[test]
+    fn adjoint_conjugates_and_transposes() {
+        let mut m = CMatrix::zeros(2, 2);
+        m[(0, 1)] = Complex::new(1.0, 2.0);
+        let adj = m.adjoint();
+        assert_eq!(adj[(1, 0)], Complex::new(1.0, -2.0));
+        let t = m.transpose();
+        assert_eq!(t[(1, 0)], Complex::new(1.0, 2.0));
+    }
+
+    #[test]
+    fn complex_matmul_against_hand_computation() {
+        let i = Complex::I;
+        let mut a = CMatrix::zeros(2, 2);
+        a[(0, 0)] = Complex::ONE;
+        a[(0, 1)] = i;
+        a[(1, 0)] = -i;
+        a[(1, 1)] = Complex::ONE;
+        let prod = a.matmul(&a).unwrap();
+        // [[1, i], [-i, 1]]^2 = [[2, 2i], [-2i, 2]]
+        assert!(prod.approx_eq(
+            &CMatrix::from_fn(2, 2, |r, c| match (r, c) {
+                (0, 0) | (1, 1) => Complex::new(2.0, 0.0),
+                (0, 1) => Complex::new(0.0, 2.0),
+                _ => Complex::new(0.0, -2.0),
+            }),
+            1e-14
+        ));
+    }
+
+    #[test]
+    fn complex_vecmat_and_matvec() {
+        let a = CMatrix::from_fn(2, 2, |i, j| Complex::new((i * 2 + j) as f64, 0.0));
+        let v = [Complex::ONE, Complex::I];
+        let left = a.vecmat(&v).unwrap();
+        assert_eq!(left[0], Complex::new(0.0, 2.0));
+        assert_eq!(left[1], Complex::new(1.0, 3.0));
+        let right = a.matvec(&v).unwrap();
+        assert_eq!(right[0], Complex::new(0.0, 1.0));
+        assert_eq!(right[1], Complex::new(2.0, 3.0));
+        assert!(a.vecmat(&[Complex::ONE]).is_err());
+        assert!(a.matvec(&[Complex::ONE]).is_err());
+    }
+
+    #[test]
+    fn determinant_of_complex_matrix() {
+        let mut a = CMatrix::zeros(2, 2);
+        a[(0, 0)] = Complex::new(1.0, 1.0);
+        a[(1, 1)] = Complex::new(1.0, -1.0);
+        a[(0, 1)] = Complex::new(0.0, 1.0);
+        a[(1, 0)] = Complex::new(0.0, 1.0);
+        // det = (1+i)(1-i) - (i)(i) = 2 + 1 = 3
+        let det = a.determinant().unwrap();
+        assert!((det - Complex::new(3.0, 0.0)).abs() < 1e-14);
     }
 }

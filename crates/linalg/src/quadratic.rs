@@ -18,25 +18,18 @@
 //! * otherwise `Q0` invertible → companion matrix of the *reversed* polynomial in
 //!   `ζ = 1/z`; eigenvalues `ζ = 0` correspond to infinite `z` and are discarded.
 
-use crate::banded::BandedMatrix;
+use crate::banded::{BandedMatrix, CBandedLu, CBandedMatrix};
 use crate::banded_profitable;
-use crate::cbanded::{CBandedLu, CBandedMatrix};
-use crate::clu::left_null_vector_of;
-use crate::cmatrix::CMatrix;
 use crate::complex::Complex;
 use crate::eigen::{eigenvalues_with, EigenOptions};
 use crate::error::LinalgError;
-use crate::matrix::Matrix;
+use crate::lu::{left_null_vector_of, PIVOT_EPS};
+use crate::matrix::{CMatrix, Matrix};
 use crate::Result;
 
 /// Maximum number of shifted inverse-iteration refinements before falling back
 /// to the dense null-space extraction.
 const INVERSE_ITERATION_MAX: usize = 4;
-
-/// Pivot modulus below which the banded factorisation of `Q(z)ᵀ` is treated as
-/// exactly singular and the dense extraction takes over (matches the dense LU's
-/// `PIVOT_EPS`).
-const BANDED_PIVOT_EPS: f64 = 1e-300;
 
 /// A single finite eigenvalue of a quadratic matrix polynomial.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -235,7 +228,7 @@ impl QuadraticEigenProblem {
             return None;
         }
         let lu = CBandedLu::new_allow_singular(&m).ok()?;
-        if lu.smallest_pivot() < BANDED_PIVOT_EPS {
+        if lu.smallest_pivot() < PIVOT_EPS {
             // Exactly singular within the band: the skipped elimination steps make
             // the factors unreliable, so let the dense extraction handle it.
             return None;

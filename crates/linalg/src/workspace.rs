@@ -1,8 +1,8 @@
 //! Reusable scratch buffers for allocation-free hot loops.
 
-use crate::cmatrix::CMatrix;
 use crate::complex::Complex;
-use crate::matrix::Matrix;
+use crate::matrix::DenseMatrix;
+use crate::scalar::Scalar;
 
 /// A pool of reusable scratch buffers backing the `_into` kernel family.
 ///
@@ -11,9 +11,9 @@ use crate::matrix::Matrix;
 /// iteration*.  Allocating them fresh each time dominates the runtime of small systems
 /// and fragments the heap for large ones.  A `Workspace` hands out buffers and takes
 /// them back, so a steady-state loop performs no heap allocation at all: acquire with
-/// [`real_matrix`](Self::real_matrix)/[`complex_matrix`](Self::complex_matrix) (or the
-/// raw-buffer variants), release with the matching `release_*` call, and the storage is
-/// recycled for the next request of any shape with sufficient capacity.
+/// [`matrix`](Self::matrix) (or [`buffer`](Self::buffer)), release with the matching
+/// `release_*` call, and the storage is recycled for the next request of any shape
+/// with sufficient capacity.  Each [`Scalar`] type has its own pool.
 ///
 /// The pool is deliberately *not* thread-safe: each worker of a parallel sweep owns its
 /// own workspace, which keeps the hot path free of synchronisation.
@@ -26,17 +26,17 @@ use crate::matrix::Matrix;
 /// # fn main() -> Result<(), urs_linalg::LinalgError> {
 /// let a = Matrix::identity(3);
 /// let mut ws = Workspace::new();
-/// let mut product = ws.real_matrix(3, 3); // zeroed scratch matrix
+/// let mut product = ws.matrix::<f64>(3, 3); // zeroed scratch matrix
 /// product.gemm(2.0, &a, &a, 0.0)?;
 /// assert_eq!(product[(1, 1)], 2.0);
-/// ws.release_real_matrix(product); // storage is reused by the next request
+/// ws.release_matrix(product); // storage is reused by the next request
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
-    real: Vec<Vec<f64>>,
-    complex: Vec<Vec<Complex>>,
+    pub(crate) real: Vec<Vec<f64>>,
+    pub(crate) complex: Vec<Vec<Complex>>,
 }
 
 impl Workspace {
@@ -45,65 +45,36 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Hands out a zeroed real buffer of the given length, reusing pooled storage.
-    pub fn real_buffer(&mut self, len: usize) -> Vec<f64> {
-        match self.real.pop() {
+    /// Hands out a zeroed buffer of the given length, reusing pooled storage.
+    pub fn buffer<T: Scalar>(&mut self, len: usize) -> Vec<T> {
+        match T::pool(self).pop() {
             Some(mut buf) => {
                 buf.clear();
-                buf.resize(len, 0.0);
+                buf.resize(len, T::ZERO);
                 buf
             }
-            None => vec![0.0; len],
+            None => vec![T::ZERO; len],
         }
     }
 
-    /// Returns a real buffer to the pool.
-    pub fn release_real_buffer(&mut self, buf: Vec<f64>) {
-        self.real.push(buf);
+    /// Returns a buffer to its pool.
+    pub fn release_buffer<T: Scalar>(&mut self, buf: Vec<T>) {
+        T::pool(self).push(buf);
     }
 
-    /// Hands out a zeroed complex buffer of the given length, reusing pooled storage.
-    pub fn complex_buffer(&mut self, len: usize) -> Vec<Complex> {
-        match self.complex.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, Complex::ZERO);
-                buf
-            }
-            None => vec![Complex::ZERO; len],
-        }
+    /// Hands out a zeroed `rows × cols` matrix backed by pooled storage.
+    pub fn matrix<T: Scalar>(&mut self, rows: usize, cols: usize) -> DenseMatrix<T> {
+        let buf = self.buffer(rows * cols);
+        // urs-analyze: allow(no_panic, reason = "buffer returns exactly rows*cols elements on the line above")
+        DenseMatrix::from_vec(rows, cols, buf).expect("buffer length matches by construction")
     }
 
-    /// Returns a complex buffer to the pool.
-    pub fn release_complex_buffer(&mut self, buf: Vec<Complex>) {
-        self.complex.push(buf);
+    /// Returns a matrix's storage to its pool.
+    pub fn release_matrix<T: Scalar>(&mut self, m: DenseMatrix<T>) {
+        self.release_buffer(m.into_vec());
     }
 
-    /// Hands out a zeroed `rows × cols` real matrix backed by pooled storage.
-    pub fn real_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
-        let buf = self.real_buffer(rows * cols);
-        // urs-analyze: allow(no_panic, reason = "real_buffer returns exactly rows*cols elements on the line above")
-        Matrix::from_vec(rows, cols, buf).expect("buffer length matches by construction")
-    }
-
-    /// Returns a real matrix's storage to the pool.
-    pub fn release_real_matrix(&mut self, m: Matrix) {
-        self.real.push(m.into_vec());
-    }
-
-    /// Hands out a zeroed `rows × cols` complex matrix backed by pooled storage.
-    pub fn complex_matrix(&mut self, rows: usize, cols: usize) -> CMatrix {
-        let buf = self.complex_buffer(rows * cols);
-        // urs-analyze: allow(no_panic, reason = "complex_buffer returns exactly rows*cols elements on the line above")
-        CMatrix::from_vec(rows, cols, buf).expect("buffer length matches by construction")
-    }
-
-    /// Returns a complex matrix's storage to the pool.
-    pub fn release_complex_matrix(&mut self, m: CMatrix) {
-        self.complex.push(m.into_vec());
-    }
-
-    /// Number of pooled (currently idle) buffers, real plus complex.
+    /// Number of pooled (currently idle) buffers over all scalar types.
     pub fn pooled(&self) -> usize {
         self.real.len() + self.complex.len()
     }
@@ -112,29 +83,30 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CMatrix, Matrix};
 
     #[test]
     fn buffers_are_recycled() {
         let mut ws = Workspace::new();
-        let m = ws.real_matrix(4, 4);
+        let m: Matrix = ws.matrix(4, 4);
         assert_eq!(m.shape(), (4, 4));
-        ws.release_real_matrix(m);
+        ws.release_matrix(m);
         assert_eq!(ws.pooled(), 1);
         // A differently-shaped request reuses the same storage.
-        let v = ws.real_buffer(2);
+        let v = ws.buffer::<f64>(2);
         assert_eq!(ws.pooled(), 0);
         assert_eq!(v, vec![0.0, 0.0]);
-        ws.release_real_buffer(v);
+        ws.release_buffer(v);
         assert_eq!(ws.pooled(), 1);
     }
 
     #[test]
     fn released_buffers_come_back_zeroed() {
         let mut ws = Workspace::new();
-        let mut m = ws.complex_matrix(2, 2);
+        let mut m: CMatrix = ws.matrix(2, 2);
         m[(0, 0)] = Complex::ONE;
-        ws.release_complex_matrix(m);
-        let again = ws.complex_matrix(2, 2);
+        ws.release_matrix(m);
+        let again: CMatrix = ws.matrix(2, 2);
         assert_eq!(again[(0, 0)], Complex::ZERO);
     }
 }
