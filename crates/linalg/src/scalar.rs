@@ -23,8 +23,8 @@ mod sealed {
 /// once over `Scalar` and instantiated for both types, so the real
 /// matrix-geometric path and the complex spectral path run the same code.
 /// The trait is sealed.  Its arithmetic is plain IEEE `+ − × ÷` on the
-/// components (no fused multiply-add), which keeps each instantiation's
-/// results bit-identical to a hand-written kernel for that type.
+/// components with no fused multiply-add, so a kernel's result depends only on
+/// the order of its operations, which the kernels fix per output element.
 pub trait Scalar:
     sealed::Sealed
     + Copy
@@ -39,7 +39,6 @@ pub trait Scalar:
     + Mul<Output = Self>
     + Div<Output = Self>
     + Neg<Output = Self>
-    + Mul<f64, Output = Self>
     + Div<f64, Output = Self>
     + AddAssign
     + SubAssign
