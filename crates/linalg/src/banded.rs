@@ -789,11 +789,11 @@ impl<T: Scalar> BandLu<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{DenseLu, LuDecomposition, Matrix};
 
-    fn rng(seed: u64) -> impl FnMut() -> f64 {
+    pub(crate) fn rng(seed: u64) -> impl FnMut() -> f64 {
         let mut s = seed;
         move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -804,7 +804,7 @@ mod tests {
     /// Test-side helpers over both scalars: a pseudo-random draw (a complex
     /// draw takes two consecutive reals) and the bit pattern for exact
     /// comparisons.
-    trait Draw: Scalar {
+    pub(crate) trait Draw: Scalar {
         fn draw(next: &mut impl FnMut() -> f64) -> Self;
         fn bits(self) -> [u64; 2];
     }
@@ -827,11 +827,16 @@ mod tests {
         }
     }
 
-    fn bits<T: Draw>(xs: &[T]) -> Vec<[u64; 2]> {
+    pub(crate) fn bits<T: Draw>(xs: &[T]) -> Vec<[u64; 2]> {
         xs.iter().map(|&x| x.bits()).collect()
     }
 
-    fn random_banded<T: Draw>(n: usize, kl: usize, ku: usize, seed: u64) -> BandMatrix<T> {
+    pub(crate) fn random_banded<T: Draw>(
+        n: usize,
+        kl: usize,
+        ku: usize,
+        seed: u64,
+    ) -> BandMatrix<T> {
         let mut next = rng(seed);
         BandMatrix::from_fn(n, kl, ku, |i, j| {
             let v = T::draw(&mut next);
@@ -844,7 +849,10 @@ mod tests {
     }
 
     /// Banded and dense matvec agree bitwise on a vector drawn from `next`.
-    fn assert_matvec_matches_dense<T: Draw>(a: &BandMatrix<T>, next: &mut impl FnMut() -> f64) {
+    pub(crate) fn assert_matvec_matches_dense<T: Draw>(
+        a: &BandMatrix<T>,
+        next: &mut impl FnMut() -> f64,
+    ) {
         let n = a.dim();
         let v: Vec<T> = (0..n).map(|_| T::draw(next)).collect();
         let mut y = vec![T::ZERO; n];
@@ -853,7 +861,7 @@ mod tests {
     }
 
     /// Banded and dense LU agree bitwise on the determinant and a solve.
-    fn assert_factor_and_solve_match_dense<T: Draw>(
+    pub(crate) fn assert_factor_and_solve_match_dense<T: Draw>(
         a: &BandMatrix<T>,
         next: &mut impl FnMut() -> f64,
     ) -> (BandLu<T>, DenseLu<T>) {
@@ -871,7 +879,7 @@ mod tests {
     }
 
     /// Both factorisations of `a` fail at the same singular pivot.
-    fn assert_singular_semantics_match_dense<T: Draw>(a: &BandMatrix<T>) {
+    pub(crate) fn assert_singular_semantics_match_dense<T: Draw>(a: &BandMatrix<T>) {
         let dense = a.to_dense();
         let db = BandLu::new(a).unwrap_err();
         let dd = DenseLu::new(&dense).unwrap_err();
@@ -915,10 +923,6 @@ mod tests {
             cd.gemm(1.5, &a.to_dense(), &b, 0.5).unwrap();
             assert_eq!(bits(c.as_slice()), bits(cd.as_slice()));
         }
-        for &(n, kl, ku) in &[(1usize, 0usize, 0usize), (6, 0, 2), (6, 2, 0), (9, 3, 2)] {
-            let a = random_banded::<Complex>(n, kl, ku, 13 + n as u64);
-            assert_matvec_matches_dense(&a, &mut rng(21));
-        }
     }
 
     #[test]
@@ -935,11 +939,6 @@ mod tests {
             blu.solve_matrix_into(&bm, &mut ob).unwrap();
             dlu.solve_matrix_into(&bm, &mut od).unwrap();
             assert_eq!(bits(ob.as_slice()), bits(od.as_slice()), "n={n} kl={kl} ku={ku}");
-        }
-        for &(n, kl, ku) in &[(1usize, 0usize, 0usize), (5, 1, 1), (8, 0, 3), (8, 3, 0), (11, 2, 4)]
-        {
-            let a = random_banded::<Complex>(n, kl, ku, 41 + 5 * n as u64 + kl as u64);
-            assert_factor_and_solve_match_dense(&a, &mut rng(3));
         }
     }
 
@@ -972,14 +971,6 @@ mod tests {
         a.set(1, 1, 4.0);
         a.set(2, 2, 1.0);
         assert_singular_semantics_match_dense(&a);
-        // Row 1 = 2 × row 0 inside a complex tridiagonal pattern.
-        let mut a = CBandedMatrix::zeros(3, 1, 1);
-        a.set(0, 0, Complex::new(1.0, 0.5));
-        a.set(0, 1, Complex::new(2.0, 0.0));
-        a.set(1, 0, Complex::new(2.0, 1.0));
-        a.set(1, 1, Complex::new(4.0, 0.0));
-        a.set(2, 2, Complex::ONE);
-        assert_singular_semantics_match_dense(&a);
     }
 
     #[test]
@@ -992,15 +983,6 @@ mod tests {
         assert_eq!(bits(&x), bits(&direct));
         lu.recycle(&mut ws);
         assert_eq!(ws.pooled(), 1);
-
-        let mut ws = Workspace::new();
-        let a = random_banded::<Complex>(6, 2, 1, 19);
-        let lu = CBandedLu::new_allow_singular_pooled(&a, &mut ws).unwrap();
-        let b: Vec<Complex> = (0..6).map(|i| Complex::from_real(i as f64 + 1.0)).collect();
-        let x = lu.solve(&b).unwrap();
-        assert_eq!(bits(&x), bits(&a.lu().unwrap().solve(&b).unwrap()));
-        lu.recycle(&mut ws);
-        assert_eq!(ws.pooled(), 1);
     }
 
     #[test]
@@ -1011,26 +993,5 @@ mod tests {
         let mut y = [0.0; 3];
         assert!(a.matvec_into(&[1.0; 4], &mut y).is_err());
         assert!(BandedLu::new(&BandedMatrix::zeros(0, 0, 0)).is_err());
-    }
-
-    #[test]
-    fn regularized_solve_recovers_null_direction() {
-        // A genuinely near-singular tridiagonal: row 2 is ~1e-14·e_2, so e_2 is
-        // nearly a null vector.
-        let n = 5;
-        let mut a = random_banded::<Complex>(n, 1, 1, 77);
-        a.set(2, 2, Complex::new(1e-14, 0.0));
-        a.set(2, 1, Complex::ZERO);
-        a.set(2, 3, Complex::ZERO);
-        let lu = CBandedLu::new_allow_singular(&a).unwrap();
-        assert!(lu.smallest_pivot() < 1e-10);
-        let ones = vec![Complex::ONE; n];
-        let mut x = vec![Complex::ZERO; n];
-        lu.solve_regularized_into(&ones, &mut x, 1e-12).unwrap();
-        let max = x.iter().fold(0.0_f64, |m, z| m.max(z.abs()));
-        // The solution is dominated by the near-null direction.
-        assert!(max > 1e6, "max = {max}");
-        assert!(x.iter().all(|z| z.is_finite()));
-        assert!(lu.solve_regularized_into(&ones, &mut x, 0.0).is_err());
     }
 }

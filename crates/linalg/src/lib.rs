@@ -71,6 +71,12 @@
 
 mod banded;
 mod blocktri;
+#[cfg(test)]
+mod cbanded;
+#[cfg(test)]
+mod clu;
+#[cfg(test)]
+mod cmatrix;
 mod complex;
 mod error;
 mod lu;

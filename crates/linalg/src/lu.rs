@@ -908,7 +908,7 @@ fn substitute_row<T: Scalar>(xi: &mut [T], rhs_rows: &[T], coeffs: &[T], w: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CMatrix, Matrix};
+    use crate::Matrix;
 
     fn reconstruct(lu: &LuDecomposition, n: usize) -> Matrix {
         // Rebuild P^T * L * U to compare against A.
@@ -1031,8 +1031,6 @@ mod tests {
         let a = Matrix::identity(3);
         let lu = LuDecomposition::new(&a).unwrap();
         assert!(matches!(lu.solve(&[1.0]), Err(LinalgError::DimensionMismatch { .. })));
-        let lu = CluDecomposition::new(&CMatrix::identity(2)).unwrap();
-        assert!(matches!(lu.solve(&[Complex::ONE]), Err(LinalgError::DimensionMismatch { .. })));
     }
 
     #[test]
@@ -1071,92 +1069,10 @@ mod tests {
         assert_eq!(storage.shape(), (2, 2));
     }
 
-    fn residual(a: &CMatrix, x: &[Complex], b: &[Complex]) -> f64 {
-        let ax = a.matvec(x).unwrap();
-        ax.iter().zip(b).map(|(p, q)| (*p - *q).abs()).fold(0.0_f64, f64::max)
-    }
-
-    #[test]
-    fn solve_complex_system() {
-        let mut a = CMatrix::zeros(2, 2);
-        a[(0, 0)] = Complex::new(1.0, 1.0);
-        a[(0, 1)] = Complex::new(2.0, 0.0);
-        a[(1, 0)] = Complex::new(0.0, -1.0);
-        a[(1, 1)] = Complex::new(3.0, 1.0);
-        let b = [Complex::new(1.0, 0.0), Complex::new(0.0, 1.0)];
-        let x = CluDecomposition::new(&a).unwrap().solve(&b).unwrap();
-        assert!(residual(&a, &x, &b) < 1e-13);
-    }
-
-    #[test]
-    fn determinant_of_diagonal() {
-        let mut a = CMatrix::zeros(3, 3);
-        a[(0, 0)] = Complex::new(2.0, 0.0);
-        a[(1, 1)] = Complex::new(0.0, 1.0);
-        a[(2, 2)] = Complex::new(1.0, -1.0);
-        let det = CluDecomposition::new(&a).unwrap().determinant();
-        // 2 * i * (1 - i) = 2i + 2 = 2 + 2i
-        assert!((det - Complex::new(2.0, 2.0)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn singular_detection_and_null_vector() {
-        // rank-1 matrix: rows (1, 2), (2, 4)
-        let mut a = CMatrix::zeros(2, 2);
-        a[(0, 0)] = Complex::new(1.0, 0.0);
-        a[(0, 1)] = Complex::new(2.0, 0.0);
-        a[(1, 0)] = Complex::new(2.0, 0.0);
-        a[(1, 1)] = Complex::new(4.0, 0.0);
-        assert!(CluDecomposition::new(&a).is_err());
-        let lu = CluDecomposition::new_allow_singular(&a).unwrap();
-        let x = lu.null_vector().unwrap();
-        let ax = a.matvec(&x).unwrap();
-        assert!(ax.iter().all(|z| z.abs() < 1e-12));
-    }
-
-    #[test]
-    fn left_null_vector_annihilates_rows() {
-        let mut a = CMatrix::zeros(3, 3);
-        // Columns 0 and 1 independent, column 2 = column 0 + column 1 -> singular.
-        let vals = [[1.0, 2.0, 3.0], [0.5, -1.0, -0.5], [2.0, 1.0, 3.0]];
-        for i in 0..3 {
-            for j in 0..3 {
-                a[(i, j)] = Complex::new(vals[i][j], 0.0);
-            }
-        }
-        // Make the matrix row-rank deficient instead: set row 2 = row0 + row1.
-        for j in 0..3 {
-            a[(2, j)] = a[(0, j)] + a[(1, j)];
-        }
-        let u = left_null_vector_of(&a).unwrap();
-        let ua = a.vecmat(&u).unwrap();
-        assert!(ua.iter().all(|z| z.abs() < 1e-12), "u A = {ua:?}");
-    }
-
-    #[test]
-    fn left_null_vector_method_matches_helper() {
-        let mut a = CMatrix::zeros(2, 2);
-        for i in 0..2 {
-            for j in 0..2 {
-                a[(i, j)] = Complex::new(1.0, (i + j) as f64);
-            }
-        }
-        // Make singular: row 1 = 2 * row 0.
-        for j in 0..2 {
-            a[(1, j)] = a[(0, j)] * 2.0;
-        }
-        let via_method =
-            CluDecomposition::new_allow_singular(&a).unwrap().left_null_vector().unwrap();
-        let ua = a.vecmat(&via_method).unwrap();
-        assert!(ua.iter().all(|z| z.abs() < 1e-12));
-    }
-
     #[test]
     fn empty_matrix_rejected() {
         let empty = LinalgError::InvalidInput("matrix must be non-empty".into());
         assert_eq!(LuDecomposition::new(&Matrix::zeros(0, 0)).unwrap_err(), empty);
         assert_eq!(Matrix::zeros(0, 0).determinant().unwrap_err(), empty);
-        assert_eq!(CluDecomposition::new_allow_singular(&CMatrix::zeros(0, 0)).unwrap_err(), empty);
-        assert_eq!(CMatrix::zeros(0, 0).determinant().unwrap_err(), empty);
     }
 }
