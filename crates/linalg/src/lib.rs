@@ -71,11 +71,16 @@
 
 mod banded;
 mod blocktri;
+// Tests of the complex instantiations, under the module names of the
+// complex types they replaced.
 #[cfg(test)]
+#[path = "complex_tests/banded.rs"]
 mod cbanded;
 #[cfg(test)]
+#[path = "complex_tests/lu.rs"]
 mod clu;
 #[cfg(test)]
+#[path = "complex_tests/matrix.rs"]
 mod cmatrix;
 mod complex;
 mod error;
