@@ -17,7 +17,7 @@
 
 use urs_core::{
     GeometricApproximation, MatrixGeometricSolver, QueueSolution, QueueSolver, ResponseAnalysis,
-    ServerLifecycle, SpectralExpansionSolver, SystemConfig, ThreadPool,
+    ServerClass, ServerLifecycle, SpectralExpansionSolver, SystemConfig, ThreadPool,
 };
 use urs_dist::HyperExponential;
 use urs_linalg::{
@@ -461,4 +461,43 @@ fn response_time_bits() {
     }
     d.reals(&analysis.response_time_percentiles(&[0.5, 0.95]).unwrap());
     check("response time at N = 4", &d, 0xa572_1a99_4aea_787d);
+}
+
+/// The boundary system's edge cases: at `N = 1` the level-0 pin row is also the
+/// row that couples to the expansion coefficients, and at `N = 2, 3` the first
+/// and last boundary rows are adjacent.  A 4 + 2 two-class fleet covers the
+/// class-aware departure matrices.
+#[test]
+fn boundary_edge_bits() {
+    let fleet = SystemConfig::heterogeneous(
+        5.5,
+        vec![
+            ServerClass::new(4, 1.0, paper_config(1, 0.5).lifecycle().clone()).unwrap(),
+            ServerClass::new(2, 1.5, ServerLifecycle::exponential(0.05, 1.0).unwrap()).unwrap(),
+        ],
+    )
+    .unwrap();
+    let configs = [paper_config(1, 0.8), paper_config(2, 1.6), paper_config(3, 2.5), fleet];
+    let mut d = Digest::new();
+    for config in &configs {
+        for pool in [ThreadPool::serial(), ThreadPool::default()] {
+            let spectral = SpectralExpansionSolver::default().with_pool(pool.clone());
+            solution_bits(&mut d, spectral.solve(config).unwrap().as_ref(), 8);
+            let mg = MatrixGeometricSolver::default().with_pool(pool);
+            let detailed = mg.solve_detailed(config).unwrap();
+            d.reals(detailed.rate_matrix().as_slice());
+            solution_bits(&mut d, &detailed, 8);
+        }
+        let approx = GeometricApproximation::default();
+        solution_bits(&mut d, approx.solve(config).unwrap().as_ref(), 8);
+    }
+    for config in &configs[..2] {
+        let analysis = ResponseAnalysis::new(config).unwrap();
+        d.f(analysis.mean_response_time());
+        for &s in &[Complex::new(0.5, 0.0), Complex::new(0.3, 2.0)] {
+            d.c(analysis.lst(s).unwrap());
+        }
+        d.reals(&analysis.response_time_percentiles(&[0.5, 0.95]).unwrap());
+    }
+    check("boundary edge cases", &d, 0xd130_3267_b83a_258b);
 }
