@@ -105,52 +105,39 @@ impl GeometricApproximation {
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<GeometricSolution> {
         config.ensure_stable()?;
         let margin = self.unit_disk_margin;
-        let Some(cache) = &self.cache else {
-            let qbd = QbdMatrices::new(config)?;
-            let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
-            let inside: Vec<Complex> =
-                problem.eigenvalues_inside_unit_disk(margin)?.iter().map(|e| e.z).collect();
-            let dominant = dominant_index(&inside)?;
-            let u = problem.left_eigenvector(inside[dominant])?;
-            return assemble_solution(config, inside[dominant], &u);
-        };
-        if let Some(entry) = cache.lookup_eigensystem(config, margin)? {
-            let dominant = dominant_index(&entry.eigenvalues)?;
-            let z = entry.eigenvalues[dominant];
-            let u = match &entry.eigenvectors[dominant] {
-                Some(u) => u.clone(),
-                None => {
-                    // Entry produced without this eigenvector (both current producers
-                    // do store it, but a partial entry is legal) — one linear solve,
-                    // no repeated eigenvalue factorisation, and the enriched entry is
-                    // written back so the solve happens at most once per key.
-                    let qbd =
-                        QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
-                    let u = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?
-                        .left_eigenvector(z)?;
-                    let mut enriched = (*entry).clone();
-                    enriched.eigenvectors[dominant] = Some(u.clone());
-                    cache.store_eigensystem(config, margin, enriched)?;
-                    u
+        // A cached eigensystem answers outright: both producers store the dominant
+        // eigenvector.  An entry without it is treated as a miss.
+        if let Some(cache) = &self.cache {
+            if let Some(entry) = cache.lookup_eigensystem(config, margin)? {
+                let dominant = dominant_index(&entry.eigenvalues)?;
+                if let Some(u) = &entry.eigenvectors[dominant] {
+                    return assemble_solution(config, entry.eigenvalues[dominant], u);
                 }
-            };
-            return assemble_solution(config, z, &u);
+            }
         }
-        // Miss: factorise once and publish the eigenvalues plus the dominant
-        // eigenvector so later solves (either solver) can reuse them.
-        let qbd = QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
+        let qbd = match &self.cache {
+            Some(cache) => {
+                QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate())
+            }
+            None => QbdMatrices::new(config)?,
+        };
         let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
         let inside: Vec<Complex> =
             problem.eigenvalues_inside_unit_disk(margin)?.iter().map(|e| e.z).collect();
         let dominant = dominant_index(&inside)?;
         let u = problem.left_eigenvector(inside[dominant])?;
-        let eigenvectors =
-            (0..inside.len()).map(|i| if i == dominant { Some(u.clone()) } else { None }).collect();
-        cache.store_eigensystem(
-            config,
-            margin,
-            EigenEntry { eigenvalues: inside.clone(), eigenvectors },
-        )?;
+        // Publish the eigenvalues plus the dominant eigenvector so later solves
+        // (either solver) can reuse them.
+        if let Some(cache) = &self.cache {
+            let eigenvectors = (0..inside.len())
+                .map(|i| if i == dominant { Some(u.clone()) } else { None })
+                .collect();
+            cache.store_eigensystem(
+                config,
+                margin,
+                EigenEntry { eigenvalues: inside.clone(), eigenvectors },
+            )?;
+        }
         assemble_solution(config, inside[dominant], &u)
     }
 }

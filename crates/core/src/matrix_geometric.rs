@@ -20,8 +20,7 @@
 //! no explicit matrix inverse is ever formed.
 
 use urs_linalg::{
-    banded_profitable, BandedLu, BandedMatrix, LinalgError, LuDecomposition, Matrix,
-    RealBlockTridiagonal, Workspace,
+    banded_profitable, BandedLu, BandedMatrix, LinalgError, LuDecomposition, Matrix, Workspace,
 };
 
 use crate::config::SystemConfig;
@@ -216,86 +215,15 @@ impl MatrixGeometricSolver {
         let servers = qbd.servers();
         let (r, reduction_depth) = self.rate_matrix_with_depth(&qbd)?;
 
-        // Boundary equations for levels 0..N with v_{N+1} = v_N·R substituted into the
-        // level-N equation; one equation is replaced by pinning a reference state.
-        // The pin mode (largest stationary environment probability) is λ-independent
-        // and precomputed — class-aware — in the skeleton.
-        let pin_mode = qbd.skeleton().pin_mode();
-
-        // The whole boundary system is real (the QBD generator blocks and `R` are
-        // real), so it runs on the all-real block-tridiagonal elimination — same
-        // block structure as the former complex formulation at a quarter of the
-        // arithmetic.  The diagonal `−B` and `−Cᵀ` couplings additionally trigger
-        // the solver's O(s²) diagonal-block Schur fast path.
-        let block_rows = servers + 1;
-        let mut system = RealBlockTridiagonal::new(block_rows, s)?;
-        let b = qbd.b();
-        let c_full = qbd.c();
+        // Boundary equations for levels 0..N, all real (the QBD generator blocks and
+        // `R` are real).  Rows 0..N−1 are shared with the spectral solver; the
+        // closing row substitutes v_{N+1} = v_N·R into the level-N equation,
+        // v_N·(Dᴬ+B+C−A) − v_N·R·C, so its coefficient is (local(N) − R·C)ᵀ.
+        let mut system = qbd.boundary_system::<f64>()?;
         // C is diagonal, so R·C is a column scaling — no dense product needed.
-        let c_diag = c_full.diagonal();
         let mut r_c = r.clone();
-        r_c.scale_columns(&c_diag)?;
-        // The level-local coefficient `(Dᴬ + B + C_j − A)ᵀ` varies between levels
-        // only on its diagonal (every `C_j` is diagonal and `C_0 = 0`): build the
-        // `C`-free transpose once and refresh the diagonal per level with the exact
-        // operation order of `local_matrix`, so each block stays bit-identical to
-        // the former per-level construction at a fraction of its allocation and
-        // memory traffic (three full `s × s` passes per level down to one copy).
-        let base_t = qbd.local_matrix(0).transpose();
-        let da = qbd.da();
-        let a = qbd.a();
-        for j in 0..block_rows {
-            let mut rhs = vec![0.0; s];
-            if j > 0 {
-                // B = λI is diagonal and symmetric: Bᵀ = B, coefficient −B,
-                // handed to the solver packed (s numbers, not an s × s block).
-                let mut lower = b.diagonal();
-                for v in lower.iter_mut() {
-                    *v *= -1.0;
-                }
-                system.set_lower_diagonal(j, lower)?;
-            }
-            let mut diag = base_t.clone();
-            let cj = qbd.c_level(j.min(servers));
-            for i in 0..s {
-                // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                diag[(i, i)] = ((da[(i, i)] + b[(i, i)]) + cj[(i, i)]) - a[(i, i)];
-            }
-            if j == servers {
-                // Level N: v_N·(Dᴬ+B+C−A) − v_N·R·C  ⇒ coefficient (local(N) − R·C)ᵀ.
-                for row in 0..s {
-                    for col in 0..s {
-                        // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                        diag[(row, col)] -= r_c[(col, row)];
-                    }
-                }
-            }
-            if j + 1 < block_rows {
-                // `C_{j+1}ᵀ = C_{j+1}` is diagonal, handed to the solver packed;
-                // the pin replaces the level-0 equation, so its coupling column
-                // (row `pin_mode` of `−C₁ᵀ`) is zeroed before the sign flip.
-                let mut upper =
-                    if j < servers { qbd.c_level(j + 1).diagonal() } else { c_full.diagonal() };
-                if j == 0 {
-                    // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                    upper[pin_mode] = 0.0;
-                }
-                for v in upper.iter_mut() {
-                    *v *= -1.0;
-                }
-                system.set_upper_diagonal(j, upper)?;
-            }
-            if j == 0 {
-                for col in 0..s {
-                    // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                    diag[(pin_mode, col)] = if col == pin_mode { 1.0 } else { 0.0 };
-                }
-                // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                rhs[pin_mode] = 1.0;
-            }
-            system.set_diagonal(j, diag)?;
-            system.set_rhs(j, rhs)?;
-        }
+        r_c.scale_columns(qbd.c())?;
+        system.set_diagonal(servers, (&qbd.local_matrix(servers) - &r_c).transpose())?;
         let mut levels = match system.solve_with(&self.pool) {
             Ok(x) => x,
             Err(LinalgError::Singular { .. }) => system.solve_dense()?,

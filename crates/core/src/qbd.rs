@@ -13,6 +13,10 @@
 //!   depending on `j` once `j ≥ N`,
 //! * `Dᴬ` — the diagonal matrix of row sums of `A`.
 //!
+//! `B`, `Dᴬ` and every `C_j` are diagonal, so they are stored as their diagonals
+//! (`λ` alone for `B`) from the skeleton through to the boundary solve; only the
+//! characteristic coefficients and the local balance matrices are handed out dense.
+//!
 //! For `j ≥ N` the balance equations become the constant-coefficient vector difference
 //! equation with characteristic matrix polynomial `Q(z) = Q0 + Q1·z + Q2·z²`,
 //! `Q0 = B`, `Q1 = A − Dᴬ − B − C`, `Q2 = C` — exactly the quantities exposed here.
@@ -22,11 +26,13 @@
 //! [`QbdSkeleton`] captures that λ-independent part so that parameter sweeps varying
 //! only λ (the load sweep of Figure 8, for instance) can build it once — typically
 //! via [`SolverCache`](crate::SolverCache) — and stamp out a [`QbdMatrices`] per grid
-//! point for the price of one diagonal matrix.
+//! point for the price of one number.
 
 use std::sync::Arc;
 
-use urs_linalg::{banded_profitable, BandedMatrix, Matrix};
+use urs_linalg::{
+    banded_profitable, BandedMatrix, BlockTridiagonalSystem, DenseMatrix, Matrix, Scalar,
+};
 
 use crate::config::{ServerClass, ServerLifecycle, SystemConfig};
 use crate::modes::{Mode, ModeSpace};
@@ -45,13 +51,14 @@ pub struct QbdSkeleton {
     classes: Vec<ServerClass>,
     servers: usize,
     a: Matrix,
-    da: Matrix,
+    /// Diagonal of `Dᴬ`: the row sums of `A`.
+    da: Vec<f64>,
     /// `A − Dᴬ − C`: the arrival-free part of `Q1`, precomputed once.
     q1_base: Matrix,
-    /// `C_j` for `j = 0..=N`; `C_N` is the repeating-level `C`.  For the homogeneous
-    /// model `C_j = diag(min(x_i, j)·µ)`; with server classes the diagonal entries are
-    /// the greedy fastest-first allocation of `j` jobs to the operative servers.
-    c_levels: Vec<Matrix>,
+    /// Diagonals of `C_j` for `j = 0..=N`; `C_N` is the repeating-level `C`.  For the
+    /// homogeneous model `C_j = diag(min(x_i, j)·µ)`; with server classes the entries
+    /// are the greedy fastest-first allocation of `j` jobs to the operative servers.
+    c_levels: Vec<Vec<f64>>,
     /// Mode with the largest stationary environment probability; used by the spectral
     /// solver to pin one balance equation (λ-independent, so computed once here).
     pin_mode: usize,
@@ -147,15 +154,15 @@ impl QbdSkeleton {
                 }
             }
         }
-        let da = Matrix::from_diagonal(&a.row_sums());
-        let c_levels: Vec<Matrix> = (0..=servers)
-            .map(|level| {
-                Matrix::from_diagonal(
-                    &(0..s).map(|i| departure_rate(&modes, classes, i, level)).collect::<Vec<_>>(),
-                )
-            })
+        let da = a.row_sums();
+        let c_levels: Vec<Vec<f64>> = (0..=servers)
+            .map(|level| (0..s).map(|i| departure_rate(&modes, classes, i, level)).collect())
             .collect();
-        let q1_base = &(&a - &da) - &c_levels[servers];
+        // `(A − Dᴬ) − C` differs from `A` only on the diagonal.
+        let mut q1_base = a.clone();
+        for ((x, d), c) in diagonal_mut(&mut q1_base).zip(&da).zip(&c_levels[servers]) {
+            *x = (*x - d) - c;
+        }
         let q1_bandwidths = BandedMatrix::bandwidths_of(&q1_base);
         let mut q1_nonzeros = 0;
         for i in 0..s {
@@ -219,22 +226,43 @@ impl QbdSkeleton {
         &self.a
     }
 
-    /// Diagonal matrix `Dᴬ` of row sums of `A`.
-    pub fn da(&self) -> &Matrix {
+    /// Diagonal of `Dᴬ`: the row sums of `A`.
+    pub fn da(&self) -> &[f64] {
         &self.da
     }
 
-    /// Departure matrix `C` for levels `j ≥ N`.
-    pub fn c(&self) -> &Matrix {
-        &self.c_levels[self.servers]
+    /// Diagonal of the departure matrix `C` for levels `j ≥ N`.
+    pub fn c(&self) -> &[f64] {
+        self.c_at(self.servers)
     }
 
-    /// Level-dependent departure matrix `C_j` by reference: `diag(min(x_i, j)·µ)` for
-    /// a single class, the greedy fastest-first allocation rate in general.
+    /// Diagonal of the level-dependent departure matrix `C_j`: `min(x_i, j)·µ` for a
+    /// single class, the greedy fastest-first allocation rate in general.
     ///
-    /// For `j ≥ N` this equals [`c`](Self::c); `C_0` is the zero matrix.
-    pub fn c_at(&self, level: usize) -> &Matrix {
+    /// For `j ≥ N` this equals [`c`](Self::c); `C_0` is zero.
+    pub fn c_at(&self, level: usize) -> &[f64] {
         &self.c_levels[level.min(self.servers)]
+    }
+
+    /// The local balance matrix `((Dᴬ + λ) + C_j) − A` of level `j` for arrival rate
+    /// `λ`.  Off the diagonal it is `0.0 − a_ik`, so structural zeros stay `+0`.
+    /// With `λ = 0` it is the base of the response-time resolvents.
+    pub(crate) fn local_matrix(&self, arrival_rate: f64, level: usize) -> Matrix {
+        let mut local = self.a.map(|x| 0.0 - x);
+        for (x, d) in diagonal_mut(&mut local).zip(self.local_diagonal(arrival_rate, level)) {
+            *x = d;
+        }
+        local
+    }
+
+    /// Diagonal of [`local_matrix`](Self::local_matrix), in its operation order.
+    fn local_diagonal(&self, arrival_rate: f64, level: usize) -> impl Iterator<Item = f64> + '_ {
+        let a_diagonal = self.a.as_slice().iter().step_by(self.order() + 1);
+        self.da
+            .iter()
+            .zip(self.c_at(level))
+            .zip(a_diagonal)
+            .map(move |((da, c), a)| ((da + arrival_rate) + c) - a)
     }
 
     /// Index of the mode with the largest stationary environment probability.
@@ -269,6 +297,12 @@ impl QbdSkeleton {
     }
 }
 
+/// The diagonal entries of a square matrix, mutably.
+fn diagonal_mut<T: Scalar>(m: &mut DenseMatrix<T>) -> impl Iterator<Item = &mut T> {
+    let step = m.cols() + 1;
+    m.as_mut_slice().iter_mut().step_by(step)
+}
+
 /// Total departure rate in `mode` with `level` jobs present: jobs are allocated to
 /// operative servers greedily in class order (classes are fastest-first in canonical
 /// configurations), so the rate is `Σ_c busy_c·µ_c` with `busy_c` the greedy
@@ -288,7 +322,7 @@ fn departure_rate(modes: &ModeSpace, classes: &[ServerClass], mode: usize, level
 }
 
 /// The generator matrices of the queue's quasi-birth-death representation: a shared
-/// [`QbdSkeleton`] plus the arrival matrix `B = λI`.
+/// [`QbdSkeleton`] plus the arrival rate `λ` of `B = λI`.
 ///
 /// # Example
 ///
@@ -306,7 +340,6 @@ fn departure_rate(modes: &ModeSpace, classes: &[ServerClass], mode: usize, level
 pub struct QbdMatrices {
     skeleton: Arc<QbdSkeleton>,
     arrival_rate: f64,
-    b: Matrix,
 }
 
 impl QbdMatrices {
@@ -323,11 +356,12 @@ impl QbdMatrices {
 
     /// Stamps out the matrices for a given arrival rate from a prebuilt skeleton.
     ///
-    /// This is the cheap path used by [`SolverCache`](crate::SolverCache): only the
-    /// diagonal matrix `B = λI` is allocated.
+    /// This is the cheap path used by [`SolverCache`](crate::SolverCache): nothing is
+    /// allocated.  `B = λI`, `Dᴬ` and the `C_j` stay packed as diagonals, and the
+    /// boundary solvers hand `−λ` and `−C_j` to the block-tridiagonal elimination
+    /// in that packed form.
     pub fn with_skeleton(skeleton: Arc<QbdSkeleton>, arrival_rate: f64) -> Self {
-        let b = Matrix::identity(skeleton.order()).scale(arrival_rate);
-        QbdMatrices { skeleton, arrival_rate, b }
+        QbdMatrices { skeleton, arrival_rate }
     }
 
     /// The λ-independent skeleton the matrices were stamped from.
@@ -360,56 +394,98 @@ impl QbdMatrices {
         self.skeleton.a()
     }
 
-    /// Diagonal matrix `Dᴬ` of row sums of `A`.
-    pub fn da(&self) -> &Matrix {
+    /// Diagonal of `Dᴬ`: the row sums of `A`.
+    pub fn da(&self) -> &[f64] {
         self.skeleton.da()
     }
 
-    /// Arrival matrix `B = λI`.
-    pub fn b(&self) -> &Matrix {
-        &self.b
-    }
-
-    /// Departure matrix `C` for levels `j ≥ N`.
-    pub fn c(&self) -> &Matrix {
+    /// Diagonal of the departure matrix `C` for levels `j ≥ N`.
+    pub fn c(&self) -> &[f64] {
         self.skeleton.c()
     }
 
-    /// Level-dependent departure matrix `C_j`: `diag(min(x_i, j)·µ)` for a single
-    /// class, the greedy fastest-first allocation rate in general.
-    ///
-    /// For `j ≥ N` this equals [`c`](Self::c); `C_0` is the zero matrix.  The matrices
-    /// are precomputed in the skeleton; this accessor clones, use
-    /// [`c_level`](Self::c_level) to borrow.
-    pub fn c_at(&self, level: usize) -> Matrix {
-        self.skeleton.c_at(level).clone()
-    }
-
-    /// Level-dependent departure matrix `C_j` by reference.
-    pub fn c_level(&self, level: usize) -> &Matrix {
+    /// Diagonal of the level-dependent departure matrix `C_j` (see
+    /// [`QbdSkeleton::c_at`]).
+    pub fn c_at(&self, level: usize) -> &[f64] {
         self.skeleton.c_at(level)
     }
 
-    /// `Q0 = B`, the coefficient of `z⁰` in the characteristic matrix polynomial.
+    /// `Q0 = B = λI`, the coefficient of `z⁰` in the characteristic matrix polynomial.
     pub fn q0(&self) -> Matrix {
-        self.b.clone()
+        Matrix::identity(self.order()).scale(self.arrival_rate)
     }
 
     /// `Q1 = A − Dᴬ − B − C`, the coefficient of `z¹`.
     pub fn q1(&self) -> Matrix {
-        &self.skeleton.q1_base - &self.b
+        let mut q1 = self.skeleton.q1_base.clone();
+        for x in diagonal_mut(&mut q1) {
+            *x -= self.arrival_rate;
+        }
+        q1
     }
 
     /// `Q2 = C`, the coefficient of `z²`.
     pub fn q2(&self) -> Matrix {
-        self.skeleton.c().clone()
+        let mut q2 = Matrix::zeros(self.order(), self.order());
+        for (x, &c) in diagonal_mut(&mut q2).zip(self.c()) {
+            *x = c;
+        }
+        q2
     }
 
     /// The "local" balance matrix at a given level, `Dᴬ + B + C_j − A`, which multiplies
     /// `v_j` in the level-`j` balance equation written as
     /// `v_j·(Dᴬ+B+C_j−A) = v_{j−1}·B + v_{j+1}·C_{j+1}`.
     pub fn local_matrix(&self, level: usize) -> Matrix {
-        &(&(self.skeleton.da() + &self.b) + self.skeleton.c_at(level)) - self.skeleton.a()
+        self.skeleton.local_matrix(self.arrival_rate, level)
+    }
+
+    /// Block rows `0..N−1` of the boundary equations, plus the lower coupling of
+    /// block row `N`; both exact solvers start from this system.
+    ///
+    /// The level-`j` balance equation is transposed to act on column vectors:
+    /// `(Dᴬ+B+C_j−A)ᵀ` on the diagonal, `−λ` below and `−C_{j+1}` above, both
+    /// packed.  The level-0 equation of the pin mode is replaced by
+    /// `v_0[pin] = 1` (one balance equation is redundant and the solution is
+    /// normalised afterwards), so its `−C_1` entry is zeroed too.  Each solver then
+    /// sets its own closing row `N`; the spectral solver also replaces the coupling
+    /// above row `N − 1` with its `γ` coupling.
+    pub(crate) fn boundary_system<T: Scalar>(&self) -> Result<BlockTridiagonalSystem<T>> {
+        let s = self.order();
+        let pin = self.skeleton.pin_mode;
+        let mut system = BlockTridiagonalSystem::new(self.servers() + 1, s)?;
+        // The local matrices differ between levels only on the diagonal: transpose
+        // the off-diagonal part once and refresh the diagonal per level.
+        let a_t = self.a().transpose();
+        let neg_a_t = a_t.as_slice().iter().map(|&x| T::from_real(0.0 - x)).collect();
+        let base_t = DenseMatrix::from_vec(s, s, neg_a_t)?;
+        for level in 0..self.servers() {
+            let mut diag = base_t.clone();
+            let local = self.skeleton.local_diagonal(self.arrival_rate, level);
+            for (x, d) in diagonal_mut(&mut diag).zip(local) {
+                *x = T::from_real(d);
+            }
+            let mut upper = self.c_at(level + 1).to_vec();
+            if level == 0 {
+                if let Some(row) = diag.as_mut_slice().chunks_exact_mut(s).nth(pin) {
+                    for (col, x) in row.iter_mut().enumerate() {
+                        *x = if col == pin { T::ONE } else { T::ZERO };
+                    }
+                }
+                if let Some(c) = upper.get_mut(pin) {
+                    *c = 0.0;
+                }
+                let mut rhs = vec![T::ZERO; s];
+                if let Some(r) = rhs.get_mut(pin) {
+                    *r = T::ONE;
+                }
+                system.set_rhs(0, rhs)?;
+            }
+            system.set_diagonal(level, diag)?;
+            system.set_upper_diagonal(level, upper.iter().map(|&c| T::from_real(-c)).collect())?;
+            system.set_lower_diagonal(level + 1, vec![T::from_real(-self.arrival_rate); s])?;
+        }
+        Ok(system)
     }
 
     /// Union `(kl, ku)` bandwidth of `Q0`/`Q1`/`Q2` (see
@@ -428,7 +504,11 @@ impl QbdMatrices {
     /// is the multinomial distribution exposed by
     /// [`ModeSpace::stationary_distribution`].
     pub fn environment_generator(&self) -> Matrix {
-        self.skeleton.a() - self.skeleton.da()
+        let mut generator = self.skeleton.a().clone();
+        for (x, d) in diagonal_mut(&mut generator).zip(self.da()) {
+            *x -= d;
+        }
+        generator
     }
 }
 
@@ -452,13 +532,14 @@ mod tests {
         for i in 0..s {
             assert_eq!(qbd.a()[(i, i)], 0.0);
         }
-        // B = λI.
+        // Q0 = B = λI.
+        let q0 = qbd.q0();
         for i in 0..s {
-            assert_eq!(qbd.b()[(i, i)], 2.0);
+            assert_eq!(q0[(i, i)], 2.0);
         }
         // DA is the diagonal of row sums.
         for (i, sum) in qbd.a().row_sums().iter().enumerate() {
-            assert!((qbd.da()[(i, i)] - sum).abs() < 1e-12);
+            assert!((qbd.da()[i] - sum).abs() < 1e-12);
         }
     }
 
@@ -493,18 +574,18 @@ mod tests {
         let qbd = QbdMatrices::new(&paper_config(3, 2.0)).unwrap();
         let s = qbd.order();
         // C_0 = 0.
-        assert!(qbd.c_at(0).max_abs() < 1e-15);
+        assert!(qbd.c_at(0).iter().all(|c| c.abs() < 1e-15));
         // C_j for j >= N equals C.
-        assert!(qbd.c_at(3).approx_eq(qbd.c(), 1e-15));
-        assert!(qbd.c_at(7).approx_eq(qbd.c(), 1e-15));
+        assert_eq!(qbd.c_at(3), qbd.c());
+        assert_eq!(qbd.c_at(7), qbd.c());
         // C_1 is capped at one server's worth of service.
         for i in 0..s {
             let expected = qbd.modes().operative_count(i).min(1) as f64;
-            assert!((qbd.c_at(1)[(i, i)] - expected).abs() < 1e-12);
+            assert!((qbd.c_at(1)[i] - expected).abs() < 1e-12);
         }
         // C has min(x_i, N)·µ = x_i·µ on the diagonal.
         for i in 0..s {
-            assert!((qbd.c()[(i, i)] - qbd.modes().operative_count(i) as f64).abs() < 1e-12);
+            assert!((qbd.c()[i] - qbd.modes().operative_count(i) as f64).abs() < 1e-12);
         }
     }
 

@@ -387,17 +387,10 @@ impl ResponseTransform {
             });
         }
         let servers = skeleton.servers();
-        let diagonal =
-            |m: &Matrix| -> Vec<f64> { (0..order).map(|i| m.get(i, i).unwrap_or(0.0)).collect() };
-        let mut boundary_bases = Vec::with_capacity(servers);
-        for a in 0..servers {
-            let shifted = skeleton.da() + skeleton.c_at(a + 1);
-            boundary_bases.push(&shifted - skeleton.a());
-        }
-        let repeat_sum = skeleton.da() + skeleton.c();
-        let repeat_base = &repeat_sum - skeleton.a();
-        let ahead_rates: Vec<Vec<f64>> =
-            (0..=servers).map(|a| diagonal(skeleton.c_at(a))).collect();
+        let boundary_bases: Vec<Matrix> =
+            (0..servers).map(|a| skeleton.local_matrix(0.0, a + 1)).collect();
+        let repeat_base = skeleton.local_matrix(0.0, servers);
+        let ahead_rates: Vec<Vec<f64>> = (0..=servers).map(|a| skeleton.c_at(a).to_vec()).collect();
         let completions: Vec<Vec<f64>> = ahead_rates
             .windows(2)
             .map(|pair| match pair {

@@ -14,7 +14,8 @@
 //!   [`urs_linalg::QuadraticEigenProblem`] (Francis QR under the hood);
 //! * the boundary equations are assembled as a complex block-tridiagonal system with
 //!   `N+1` block rows (the last block holds the `γ` coefficients) and solved by block
-//!   elimination with a dense fallback;
+//!   elimination with a dense fallback; rows `0..N−1` are the same as the
+//!   matrix-geometric solver's and come from one shared assembly;
 //! * instead of replacing an equation by the normalisation condition (which would
 //!   destroy the banded structure), one balance equation is replaced by pinning the
 //!   probability of a well-chosen reference state to 1; the whole solution is rescaled
@@ -22,7 +23,7 @@
 
 use std::sync::Arc;
 
-use urs_linalg::{BlockTridiagonal, CMatrix, Complex, LinalgError, Matrix};
+use urs_linalg::{CMatrix, Complex, LinalgError};
 
 use crate::cache::SolverCache;
 use crate::config::SystemConfig;
@@ -232,10 +233,7 @@ impl SpectralExpansionSolver {
         }
 
         // 2. Boundary equations: block-tridiagonal system over v_0..v_{N-1} and γ.
-        // The pin mode (largest stationary environment probability) is λ-independent
-        // and precomputed in the skeleton.
-        let pin_mode = qbd.skeleton().pin_mode();
-        let boundary = solve_boundary(qbd, &eigenvalues, &eigenvectors, pin_mode, &self.pool)?;
+        let boundary = solve_boundary(qbd, &eigenvalues, &eigenvectors, &self.pool)?;
 
         // 3. Assemble the solution and normalise.
         SpectralSolution::assemble(config, qbd, eigenvalues, eigenvectors, boundary, self.options)
@@ -259,17 +257,17 @@ struct BoundaryUnknowns {
     gamma: Vec<Complex>,
 }
 
-/// Builds and solves the boundary block-tridiagonal system.
+/// Builds and solves the boundary block-tridiagonal system: the boundary rows
+/// shared with the matrix-geometric solver (`QbdMatrices::boundary_system`),
+/// closed by the `γ` coupling above row `N − 1` and the level-`N` equation.
 fn solve_boundary(
     qbd: &QbdMatrices,
     eigenvalues: &[Complex],
     eigenvectors: &[Vec<Complex>],
-    pin_mode: usize,
     pool: &ThreadPool,
 ) -> Result<BoundaryUnknowns> {
     let s = qbd.order();
     let servers = qbd.servers();
-    let block_rows = servers + 1;
 
     // U_mat(j): s×s complex matrix whose k-th row is u_k · z_k^j.
     let u_mat = |level: u32| -> CMatrix {
@@ -277,83 +275,34 @@ fn solve_boundary(
     };
     // C is diagonal, so every U·C product below is a column scaling (`O(s²)`)
     // instead of a dense complex matmul (`O(s³)`).
-    let c_diag = qbd.c().diagonal();
     let u_mat_c = |level: u32| -> Result<CMatrix> {
         let mut m = u_mat(level);
-        m.scale_columns(&c_diag)?;
+        m.scale_columns(qbd.c())?;
         Ok(m)
     };
 
-    let b = qbd.b();
-    let to_cmatrix = CMatrix::from_real;
-
-    let mut system = BlockTridiagonal::new(block_rows, s)?;
-
-    for j in 0..block_rows {
-        if j < servers {
-            // Plain boundary level j: diagonal block (Dᴬ+B+C_j−A)ᵀ.
-            let mut diag_t = transpose_to_cmatrix(&qbd.local_matrix(j));
-            let mut rhs = vec![Complex::ZERO; s];
-            // Sub-diagonal block −Bᵀ (B is diagonal, so transpose is itself).
-            if j > 0 {
-                system.set_lower(j, &to_cmatrix(b) * Complex::from_real(-1.0))?;
-            }
-            // Super-diagonal: −C_{j+1}ᵀ towards v_{j+1}, or towards γ when j = N−1.
-            if j + 1 < servers {
-                system.set_upper(
-                    j,
-                    &transpose_to_cmatrix(qbd.c_level(j + 1)) * Complex::from_real(-1.0),
-                )?;
-            } else {
-                // Coupling to γ through v_N = γ·U_mat(N):  −(U_mat(N)·C)ᵀ.
-                let coupling = u_mat_c(servers as u32)?;
-                system.set_upper(j, &coupling.transpose() * Complex::from_real(-1.0))?;
-            }
-            if j == 0 {
-                // Replace the balance equation of the pin state by  v_0[pin] = 1.
-                for col in 0..s {
-                    diag_t[(pin_mode, col)] =
-                        if col == pin_mode { Complex::ONE } else { Complex::ZERO };
-                }
-                if servers > 1 {
-                    // Zero the pin row of the super-diagonal block as well.
-                    let mut upper = transpose_to_cmatrix(qbd.c_level(1));
-                    for col in 0..s {
-                        upper[(pin_mode, col)] = Complex::ZERO;
-                    }
-                    system.set_upper(0, &upper * Complex::from_real(-1.0))?;
-                    // set_upper(0) may have been set above for the γ coupling when N = 1;
-                    // here servers > 1 so this is the plain −C_1ᵀ block with a zeroed row.
-                } else {
-                    // N = 1: the super-diagonal couples to γ; zero its pin row too.
-                    let coupling = u_mat_c(1)?;
-                    let mut upper = coupling.transpose();
-                    for col in 0..s {
-                        upper[(pin_mode, col)] = Complex::ZERO;
-                    }
-                    system.set_upper(0, &upper * Complex::from_real(-1.0))?;
-                }
-                rhs[pin_mode] = Complex::ONE;
-            }
-            system.set_diagonal(j, diag_t)?;
-            system.set_rhs(j, rhs)?;
-        } else {
-            // Level N: −v_{N−1}·B + γ·[U_N·(Dᴬ+B+C−A) − U_{N+1}·C] = 0.
-            system.set_lower(j, &to_cmatrix(b) * Complex::from_real(-1.0))?;
-            let mut term1 = CMatrix::zeros(s, s);
-            term1.gemm_with(
-                Complex::ONE,
-                &u_mat(servers as u32),
-                &to_cmatrix(&qbd.local_matrix(servers)),
-                Complex::ZERO,
-                pool,
-            )?;
-            let term2 = u_mat_c(servers as u32 + 1)?;
-            let diag = (&term1 - &term2).transpose();
-            system.set_diagonal(j, diag)?;
-            system.set_rhs(j, vec![Complex::ZERO; s])?;
+    let mut system = qbd.boundary_system::<Complex>()?;
+    // Row N−1 couples to γ through v_N = γ·U_mat(N): −(U_mat(N)·C)ᵀ.  At N = 1 that
+    // row is the pinned level 0, so the pin mode's row of the coupling is zeroed.
+    let mut gamma_coupling = u_mat_c(servers as u32)?.transpose();
+    if servers == 1 {
+        let pin = qbd.skeleton().pin_mode();
+        if let Some(row) = gamma_coupling.as_mut_slice().chunks_exact_mut(s).nth(pin) {
+            row.fill(Complex::ZERO);
         }
     }
+    system.set_upper(servers - 1, &gamma_coupling * Complex::from_real(-1.0))?;
+    // Level N: −v_{N−1}·B + γ·[U_N·(Dᴬ+B+C−A) − U_{N+1}·C] = 0.
+    let mut term1 = CMatrix::zeros(s, s);
+    term1.gemm_with(
+        Complex::ONE,
+        &u_mat(servers as u32),
+        &CMatrix::from_real(&qbd.local_matrix(servers)),
+        Complex::ZERO,
+        pool,
+    )?;
+    let term2 = u_mat_c(servers as u32 + 1)?;
+    system.set_diagonal(servers, (&term1 - &term2).transpose())?;
 
     let solution = match system.solve_with(pool) {
         Ok(x) => x,
@@ -363,11 +312,6 @@ fn solve_boundary(
     let gamma = solution[servers].clone();
     let levels = solution[..servers].to_vec();
     Ok(BoundaryUnknowns { levels, gamma })
-}
-
-/// Transposes a real matrix into a complex one.
-fn transpose_to_cmatrix(m: &Matrix) -> CMatrix {
-    CMatrix::from_fn(m.cols(), m.rows(), |i, j| Complex::from_real(m[(j, i)]))
 }
 
 /// One term of the spectral expansion: the eigenvalue `z_k` together with the
@@ -443,15 +387,11 @@ impl SpectralSolution {
 
         // Track how far from real the normalised solution is.
         let mut max_imaginary_residue = max_imag;
-        for (level, complex_level) in boundary.levels.iter().enumerate() {
-            for c in complex_level {
-                let normalised = *c / total;
-                let residue = normalised.im.abs();
-                if residue > max_imaginary_residue {
-                    max_imaginary_residue = residue;
-                }
+        for c in boundary.levels.iter().flatten() {
+            let residue = (*c / total).im.abs();
+            if residue > max_imaginary_residue {
+                max_imaginary_residue = residue;
             }
-            let _ = level;
         }
         if max_imaginary_residue > options.reality_tolerance {
             return Err(ModelError::SpectralFailure(format!(

@@ -119,7 +119,7 @@ impl TruncatedCtmcSolver {
         let level_indices: Vec<usize> = (0..levels).collect();
         let per_level: Vec<LevelAdjacency> = self.pool.par_map(&level_indices, |&level| {
             // The level-dependent departure diagonal, borrowed once per level.
-            let c_level = qbd.c_level(level);
+            let c_level = qbd.c_at(level);
             let mut outgoing: Vec<Vec<(usize, f64)>> = vec![Vec::new(); s];
             let mut exit_rate = vec![0.0_f64; s];
             for mode in 0..s {
@@ -141,7 +141,7 @@ impl TruncatedCtmcSolver {
                 // Departures: the skeleton's level-dependent C matrices already
                 // encode the (class-aware, fastest-first) allocation of jobs to
                 // servers.
-                let rate = c_level[(mode, mode)];
+                let rate = c_level[mode];
                 if rate > 0.0 {
                     outgoing[mode].push((state(mode, level - 1), rate));
                     exit_rate[mode] += rate;

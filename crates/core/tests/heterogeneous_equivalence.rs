@@ -199,10 +199,10 @@ fn faster_servers_first_beats_reversed_class_order() {
     let mut canonical_total = 0.0;
     let mut reversed_total = 0.0;
     for i in 0..qbd.order() {
-        reversed_total += qbd.c_level(1)[(i, i)];
+        reversed_total += qbd.c_at(1)[i];
     }
     for i in 0..canonical_qbd.order() {
-        canonical_total += canonical_qbd.c_level(1)[(i, i)];
+        canonical_total += canonical_qbd.c_at(1)[i];
     }
     assert!(
         canonical_total > reversed_total,

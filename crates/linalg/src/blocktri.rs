@@ -5,10 +5,15 @@
 //! is block tridiagonal.  Solving it by block forward elimination (a block Thomas
 //! algorithm) costs `O(K s³)` instead of the `O(K³ s³)` of a dense factorisation, which
 //! is what makes the exact spectral-expansion solution practical for systems with many
-//! servers.  The spectral solver's boundary system is complex ([`BlockTridiagonal`]);
-//! the matrix-geometric one is entirely real ([`RealBlockTridiagonal`]) — the
-//! transposed local generators on the diagonal, `−λI` below, the transposed departure
-//! matrices above — so it runs the same elimination in real arithmetic.
+//! servers.  Both solvers' boundary rows carry the transposed local generators on the
+//! diagonal, `−λI` below and the departure matrices `−C_{j+1}` above; the two
+//! couplings are diagonal and are handed over packed
+//! ([`set_lower_diagonal`](BlockTridiagonalSystem::set_lower_diagonal),
+//! [`set_upper_diagonal`](BlockTridiagonalSystem::set_upper_diagonal)), which gives
+//! the same bits as the dense setters.  The spectral solver's system is complex
+//! ([`BlockTridiagonal`]) because its closing row couples to the expansion
+//! coefficients; the matrix-geometric one is entirely real
+//! ([`RealBlockTridiagonal`]), so it runs the same elimination in real arithmetic.
 
 use crate::complex::Complex;
 use crate::error::LinalgError;
@@ -467,6 +472,7 @@ impl<T: Scalar> BlockTridiagonalSystem<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::banded::tests::{bits, rng, Draw};
     use crate::{CMatrix, Matrix};
 
     fn real_block(values: &[&[f64]]) -> CMatrix {
@@ -705,55 +711,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn real_packed_diagonal_couplings_match_dense_bitwise() {
+    fn assert_packed_diagonal_couplings_match_dense_bitwise<T: Draw>() {
         // Same system twice: once with the diagonal couplings handed over as
         // dense s × s blocks, once packed.  The packed storage must dispatch to
         // byte-for-byte the same substitutions, so the solutions are bit-equal.
         let k = 6;
         let s = 3;
-        let mut seed = 41_u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((seed >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let mut dense_sys = RealBlockTridiagonal::new(k, s).unwrap();
-        let mut packed_sys = RealBlockTridiagonal::new(k, s).unwrap();
+        let mut next = rng(41);
+        let mut draw = || T::draw(&mut next);
+        let mut dense_sys = BlockTridiagonalSystem::<T>::new(k, s).unwrap();
+        let mut packed_sys = BlockTridiagonalSystem::<T>::new(k, s).unwrap();
         for i in 0..k {
-            let mut d = Matrix::from_fn(s, s, |_, _| next());
+            let mut d = DenseMatrix::from_fn(s, s, |_, _| draw());
             for r in 0..s {
-                d[(r, r)] += 7.0;
+                d[(r, r)] += T::from_real(7.0);
             }
             dense_sys.set_diagonal(i, d.clone()).unwrap();
             packed_sys.set_diagonal(i, d).unwrap();
             if i > 0 {
-                let l = vec![next(), next(), next()];
-                dense_sys.set_lower(i, Matrix::from_diagonal(&l)).unwrap();
+                let l = vec![draw(), draw(), draw()];
+                dense_sys.set_lower(i, DenseMatrix::from_diagonal(&l)).unwrap();
                 packed_sys.set_lower_diagonal(i, l).unwrap();
             }
             if i + 1 < k {
-                let u = vec![next(), next(), next()];
-                dense_sys.set_upper(i, Matrix::from_diagonal(&u)).unwrap();
+                let u = vec![draw(), draw(), draw()];
+                dense_sys.set_upper(i, DenseMatrix::from_diagonal(&u)).unwrap();
                 packed_sys.set_upper_diagonal(i, u).unwrap();
             }
-            let rhs: Vec<f64> = (0..s).map(|_| next()).collect();
+            let rhs: Vec<T> = (0..s).map(|_| draw()).collect();
             dense_sys.set_rhs(i, rhs.clone()).unwrap();
             packed_sys.set_rhs(i, rhs).unwrap();
         }
         let dense_x = dense_sys.solve().unwrap();
         let packed_x = packed_sys.solve().unwrap();
         for (a, b) in dense_x.iter().zip(&packed_x) {
-            for (p, q) in a.iter().zip(b) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
+            assert_eq!(bits(a), bits(b));
         }
         // The dense fallback assembles the packed couplings correctly too.
         let packed_dense = packed_sys.solve_dense().unwrap();
         for (a, b) in packed_x.iter().zip(&packed_dense) {
-            for (p, q) in a.iter().zip(b) {
-                assert!((p - q).abs() < 1e-10);
+            for (&p, &q) in a.iter().zip(b) {
+                assert!((p - q).modulus() < 1e-10);
             }
         }
+    }
+
+    #[test]
+    fn real_packed_diagonal_couplings_match_dense_bitwise() {
+        assert_packed_diagonal_couplings_match_dense_bitwise::<f64>();
+    }
+
+    #[test]
+    fn complex_packed_diagonal_couplings_match_dense_bitwise() {
+        assert_packed_diagonal_couplings_match_dense_bitwise::<Complex>();
     }
 
     #[test]

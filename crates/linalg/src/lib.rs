@@ -49,7 +49,7 @@
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
 //! | [`BandMatrix`] / [`BandLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
 //! | [`QuadraticEigenProblem::left_eigenvector`] | eigenvector extraction by shifted inverse iteration on one banded LU of `Q(z)ᵀ` per eigenvalue (dense null-space fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
-//! | [`BlockTridiagonalSystem`] | boundary elimination: complex for the spectral expansion, real for the matrix-geometric method (`B = λI` keeps its boundary blocks real) |
+//! | [`BlockTridiagonalSystem`] | boundary elimination: complex for the spectral expansion, real for the matrix-geometric method (`B = λI` keeps its boundary blocks real); both pass the diagonal `−λI` and `−C_j` couplings packed through `set_lower_diagonal` / `set_upper_diagonal`, bit-identical to the dense setters |
 //!
 //! # Example
 //!
