@@ -445,9 +445,7 @@ fn solver_bits_at_n8() {
         d.reals(detailed.rate_matrix().as_slice());
         solution_bits(&mut d, &detailed, 14);
     }
-    let approx = GeometricApproximation::default();
-    solution_bits(&mut d, approx.solve(&config).unwrap().as_ref(), 14);
-    check("solvers at N = 8", &d, 0x42e3_8217_51b5_0a60);
+    check("solvers at N = 8", &d, 0xe447_a0e2_59ce_6a43);
 }
 
 #[test]
@@ -463,12 +461,9 @@ fn response_time_bits() {
     check("response time at N = 4", &d, 0xa572_1a99_4aea_787d);
 }
 
-/// The boundary system's edge cases: at `N = 1` the level-0 pin row is also the
-/// row that couples to the expansion coefficients, and at `N = 2, 3` the first
-/// and last boundary rows are adjacent.  A 4 + 2 two-class fleet covers the
-/// class-aware departure matrices.
-#[test]
-fn boundary_edge_bits() {
+/// The small configurations of the boundary edge cases: `N = 1, 2, 3` and a
+/// 4 + 2 two-class fleet.
+fn edge_configs() -> [SystemConfig; 4] {
     let fleet = SystemConfig::heterogeneous(
         5.5,
         vec![
@@ -477,7 +472,16 @@ fn boundary_edge_bits() {
         ],
     )
     .unwrap();
-    let configs = [paper_config(1, 0.8), paper_config(2, 1.6), paper_config(3, 2.5), fleet];
+    [paper_config(1, 0.8), paper_config(2, 1.6), paper_config(3, 2.5), fleet]
+}
+
+/// The boundary system's edge cases: at `N = 1` the level-0 pin row is also the
+/// row that couples to the expansion coefficients, and at `N = 2, 3` the first
+/// and last boundary rows are adjacent.  A 4 + 2 two-class fleet covers the
+/// class-aware departure matrices.
+#[test]
+fn boundary_edge_bits() {
+    let configs = edge_configs();
     let mut d = Digest::new();
     for config in &configs {
         for pool in [ThreadPool::serial(), ThreadPool::default()] {
@@ -488,8 +492,6 @@ fn boundary_edge_bits() {
             d.reals(detailed.rate_matrix().as_slice());
             solution_bits(&mut d, &detailed, 8);
         }
-        let approx = GeometricApproximation::default();
-        solution_bits(&mut d, approx.solve(config).unwrap().as_ref(), 8);
     }
     for config in &configs[..2] {
         let analysis = ResponseAnalysis::new(config).unwrap();
@@ -499,5 +501,18 @@ fn boundary_edge_bits() {
         }
         d.reals(&analysis.response_time_percentiles(&[0.5, 0.95]).unwrap());
     }
-    check("boundary edge cases", &d, 0xd130_3267_b83a_258b);
+    check("boundary edge cases", &d, 0x70d7_6631_e3e9_a73f);
+}
+
+/// The geometric approximation on the configurations of the two tests above:
+/// the `N = 8` configuration and the boundary edge cases.
+#[test]
+fn approximation_bits() {
+    let approx = GeometricApproximation::default();
+    let mut d = Digest::new();
+    solution_bits(&mut d, approx.solve(&paper_config(8, 7.2)).unwrap().as_ref(), 14);
+    for config in &edge_configs() {
+        solution_bits(&mut d, approx.solve(config).unwrap().as_ref(), 8);
+    }
+    check("approximation", &d, 0x0bf2_832b_f565_900a);
 }
