@@ -13,16 +13,34 @@
 //! the ill-conditioning that affects the exact solution for large `N`, and is
 //! asymptotically exact in heavy traffic (Mitrani 2005) — exactly the behaviour
 //! reproduced in Figure 8.
+//!
+//! # Finding `z_s` alone
+//!
+//! For `z ∈ (0, 1)` the characteristic matrix `Q(z) = λI + z·Q1 + z²·C` is Metzler:
+//! its off-diagonal entries `z·a_ik` are non-negative.  Its Perron root χ(z), the
+//! real eigenvalue of largest real part, is Neuts' caudal characteristic (Neuts
+//! 1981): χ(0) = λ > 0 and χ(1) = 0, and for a stable queue χ is positive on
+//! `(0, z_s)` and negative on `(z_s, 1)`.  So `z_s` is the root of χ in `(0, 1)` and
+//! `u_s` is the left Perron vector of `Q(z_s)`.
+//!
+//! The sign of χ needs no eigenvalue: χ(z) < 0 exactly when `−Q(z)` is a nonsingular
+//! M-matrix, which holds exactly when every pivot of its unpivoted LU is positive
+//! (Berman & Plemmons 1994).  That elimination creates no fill outside the band of
+//! `Q1`, so the solver bisects on it at `O(s·b²)` per step, where `b` is the
+//! bandwidth, and then extracts `u_s` by banded inverse iteration
+//! ([`QuadraticEigenProblem::left_eigenvector`]).  The dense `2s × 2s` companion
+//! eigensolve the spectral solver runs is never needed here.
 
 use std::sync::Arc;
 
-use urs_linalg::Complex;
+use urs_linalg::{BandedMatrix, Complex, Matrix, QuadraticEigenProblem};
 
-use crate::cache::{EigenEntry, SolverCache};
+use crate::cache::SolverCache;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::qbd::QbdMatrices;
 use crate::solution::{QueueSolution, QueueSolver};
+use crate::spectral::SpectralOptions;
 use crate::Result;
 
 /// The geometric approximation solver.
@@ -40,14 +58,13 @@ use crate::Result;
 /// # }
 /// ```
 ///
-/// When the approximation is compared against the exact solution on the same grid
-/// (Figures 8 and 9), attach the *same* [`SolverCache`] to both solvers with
-/// [`with_cache`](Self::with_cache): the approximation then reuses the eigensystem
-/// the spectral solver factorised for the identical `(skeleton, λ)` instead of
-/// re-solving the quadratic eigenproblem.
+/// In a sweep, attach a [`SolverCache`] with [`with_cache`](Self::with_cache) so grid
+/// points that differ only in the arrival rate share one QBD skeleton.  The
+/// approximation neither reads nor stores eigensystems: it finds its one
+/// eigenvalue without the spectral solver's eigensolve.
 #[derive(Debug, Clone)]
 pub struct GeometricApproximation {
-    /// Margin used to separate eigenvalues inside the unit disk from the one at 1.
+    /// How close to 1 a decay rate may lie: the root is sought in `(0, 1 − margin]`.
     unit_disk_margin: f64,
     cache: Option<Arc<SolverCache>>,
 }
@@ -59,14 +76,15 @@ impl Default for GeometricApproximation {
 }
 
 impl GeometricApproximation {
-    /// Creates the approximation with an explicit unit-disk classification margin.
+    /// Creates the approximation with an explicit unit-disk margin: the decay rate is
+    /// sought in `(0, 1 − margin]`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidParameter`] when the margin is not positive and
     /// finite (mirroring the validation of
     /// [`SpectralOptions`](crate::SpectralOptions) keys — a non-positive margin would
-    /// misclassify the eigenvalue at 1 as "inside the unit disk").
+    /// admit the root of `Q(z)` at 1 as a decay rate).
     pub fn with_margin(unit_disk_margin: f64) -> Result<Self> {
         if !(unit_disk_margin.is_finite() && unit_disk_margin > 0.0) {
             return Err(ModelError::InvalidParameter {
@@ -78,14 +96,12 @@ impl GeometricApproximation {
         Ok(GeometricApproximation { unit_disk_margin, cache: None })
     }
 
-    /// The unit-disk classification margin in use.
+    /// The unit-disk margin in use.
     pub fn margin(&self) -> f64 {
         self.unit_disk_margin
     }
 
-    /// Attaches a [`SolverCache`]; share it with a
-    /// [`SpectralExpansionSolver`](crate::SpectralExpansionSolver) so the two solvers
-    /// factorise each `(skeleton, λ)` eigenproblem once between them.
+    /// Attaches a [`SolverCache`] whose QBD skeletons the solves share.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -101,71 +117,92 @@ impl GeometricApproximation {
     /// # Errors
     ///
     /// Returns [`ModelError::Unstable`] for non-ergodic configurations and
-    /// [`ModelError::SpectralFailure`] if no admissible dominant eigenvalue is found.
+    /// [`ModelError::SpectralFailure`] when no decay rate lies in `(0, 1 − margin]`
+    /// or its eigenvector fails the residual check or is not a non-negative vector.
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<GeometricSolution> {
         config.ensure_stable()?;
-        let margin = self.unit_disk_margin;
-        // A cached eigensystem answers outright: both producers store the dominant
-        // eigenvector.  An entry without it is treated as a miss.
-        if let Some(cache) = &self.cache {
-            if let Some(entry) = cache.lookup_eigensystem(config, margin)? {
-                let dominant = dominant_index(&entry.eigenvalues)?;
-                if let Some(u) = &entry.eigenvectors[dominant] {
-                    return assemble_solution(config, entry.eigenvalues[dominant], u);
-                }
-            }
-        }
         let qbd = match &self.cache {
             Some(cache) => {
                 QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate())
             }
             None => QbdMatrices::new(config)?,
         };
-        let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
-        let inside: Vec<Complex> =
-            problem.eigenvalues_inside_unit_disk(margin)?.iter().map(|e| e.z).collect();
-        let dominant = dominant_index(&inside)?;
-        let u = problem.left_eigenvector(inside[dominant])?;
-        // Publish the eigenvalues plus the dominant eigenvector so later solves
-        // (either solver) can reuse them.
-        if let Some(cache) = &self.cache {
-            let eigenvectors = (0..inside.len())
-                .map(|i| if i == dominant { Some(u.clone()) } else { None })
-                .collect();
-            cache.store_eigensystem(
-                config,
-                margin,
-                EigenEntry { eigenvalues: inside.clone(), eigenvectors },
-            )?;
+        let q1 = qbd.q1();
+        let decay_rate = perron_root(&qbd, &q1, self.unit_disk_margin)?;
+        let scale = q1.max_abs().max(1.0);
+        let problem = QuadraticEigenProblem::new(qbd.q0(), q1, qbd.q2())?;
+        let z = Complex::from_real(decay_rate);
+        let u = problem.left_eigenvector(z)?;
+        let residual = problem.residual(z, &u)?;
+        if residual > SpectralOptions::default().residual_tolerance * scale {
+            return Err(ModelError::SpectralFailure(format!(
+                "left eigenvector residual {residual:.3e} at z = {decay_rate} exceeds tolerance",
+            )));
         }
-        assemble_solution(config, inside[dominant], &u)
+        assemble_solution(config, decay_rate, &u)
     }
 }
 
-/// Index of the dominant admissible eigenvalue: the largest real positive one.
+/// The root of the Perron root χ(z) of `Q(z)` in `(0, 1 − margin]`, by bisection on
+/// the sign of χ.  The bracket narrows until its ends are adjacent floats; the upper
+/// end, the smallest point found with χ < 0, is returned.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::SpectralFailure`] when no real positive eigenvalue exists.
-fn dominant_index(eigenvalues: &[Complex]) -> Result<usize> {
-    eigenvalues
-        .iter()
-        .enumerate()
-        .filter(|(_, z)| z.im.abs() < 1e-8 && z.re > 0.0)
-        .max_by(|(_, a), (_, b)| a.re.total_cmp(&b.re))
-        .map(|(i, _)| i)
-        .ok_or_else(|| {
-            ModelError::SpectralFailure(
-                "no real positive eigenvalue found inside the unit disk".into(),
-            )
-        })
+/// Returns [`ModelError::SpectralFailure`] when `−Q(1 − margin)` is not an M-matrix:
+/// then no root lies in the bracket.
+fn perron_root(qbd: &QbdMatrices, q1: &Matrix, margin: f64) -> Result<f64> {
+    let (kl, ku) = qbd.q1_bandwidths();
+    let mut band = BandedMatrix::zeros(qbd.order(), kl, ku);
+    let mut chi_negative = |z: f64| {
+        fill_negated_characteristic(&mut band, q1, qbd.arrival_rate(), qbd.c(), z);
+        band.eliminate_unpivoted()
+    };
+    let (mut lo, mut hi) = (0.0, 1.0 - margin);
+    if hi <= lo || !chi_negative(hi) {
+        return Err(ModelError::SpectralFailure(format!(
+            "no decay rate in (0, {hi}]: −Q({hi}) is not an M-matrix"
+        )));
+    }
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            return Ok(hi);
+        }
+        if chi_negative(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+}
+
+/// Writes `−Q(z) = −(λI + z·Q1 + z²·C)` into `band`, which has the bandwidths of
+/// `Q1`; each entry uses the expression order of
+/// [`QuadraticEigenProblem::evaluate`].
+fn fill_negated_characteristic(
+    band: &mut BandedMatrix,
+    q1: &Matrix,
+    arrival_rate: f64,
+    c: &[f64],
+    z: f64,
+) {
+    let (kl, ku) = (band.lower_bandwidth(), band.upper_bandwidth());
+    let z2 = z * z;
+    for (i, &c_i) in c.iter().enumerate() {
+        let j0 = i.saturating_sub(kl);
+        for (j, &q) in q1.row(i).iter().enumerate().skip(j0).take(i + ku + 1 - j0) {
+            let value = if i == j { (arrival_rate + z * q) + z2 * c_i } else { z * q };
+            band.set(i, j, -value);
+        }
+    }
 }
 
 /// Normalises the dominant left eigenvector into a probability vector over the modes
 /// and assembles the geometric solution.
 fn assemble_solution(
     config: &SystemConfig,
-    dominant: Complex,
+    decay_rate: f64,
     u: &[Complex],
 ) -> Result<GeometricSolution> {
     // The eigenvector of a real eigenvalue can be taken real; normalise it to a
@@ -192,7 +229,7 @@ fn assemble_solution(
     }
     Ok(GeometricSolution {
         arrival_rate: config.arrival_rate(),
-        decay_rate: dominant.re,
+        decay_rate,
         mode_distribution: real_u,
     })
 }
@@ -269,7 +306,7 @@ pub fn dominant_eigenvalue(config: &SystemConfig) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServerLifecycle;
+    use crate::config::{ServerClass, ServerLifecycle};
     use crate::solution::consistency_violations;
     use crate::spectral::SpectralExpansionSolver;
 
@@ -293,6 +330,64 @@ mod tests {
         let exact = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
         assert!((approx.decay_rate() - exact.dominant_eigenvalue()).abs() < 1e-8);
         assert!((dominant_eigenvalue(&config).unwrap() - approx.decay_rate()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decay_rate_matches_the_spectral_dominant_eigenvalue() {
+        let lifecycle = ServerLifecycle::paper_fitted().unwrap();
+        let fleet = |fast: usize, slow: usize| {
+            SystemConfig::heterogeneous(
+                1.0,
+                vec![
+                    ServerClass::new(fast, 1.5, lifecycle.clone()).unwrap(),
+                    ServerClass::new(slow, 1.0, ServerLifecycle::exponential(0.05, 1.0).unwrap())
+                        .unwrap(),
+                ],
+            )
+            .unwrap()
+        };
+        let mut bases: Vec<SystemConfig> =
+            [1, 2, 3, 4, 8, 12, 16].iter().map(|&n| paper_config(n, 0.5)).collect();
+        bases.push(fleet(8, 4));
+        bases.push(fleet(4, 2));
+        for base in &bases {
+            for rho in [0.5, 0.9, 0.99] {
+                let config = base.with_arrival_rate(rho * base.effective_capacity()).unwrap();
+                let approx = GeometricApproximation::default().solve_detailed(&config).unwrap();
+                let exact = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
+                let gap = (approx.decay_rate() - exact.dominant_eigenvalue()).abs();
+                assert!(gap <= 1e-10, "N = {}, rho = {rho}: gap {gap:.3e}", config.servers());
+            }
+        }
+    }
+
+    #[test]
+    fn single_server_decay_rate_is_found() {
+        let config = paper_config(1, 0.8);
+        let approx = GeometricApproximation::default().solve_detailed(&config).unwrap();
+        let exact = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
+        assert!((approx.decay_rate() - exact.dominant_eigenvalue()).abs() <= 1e-10);
+        assert_eq!(approx.mode_count(), 3);
+        assert!((approx.mode_marginal().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn margin_that_excludes_the_decay_rate_is_a_spectral_failure() {
+        // z_s ≈ 0.9 here, so no root lies in (0, 0.5]; a margin of 1 leaves no
+        // bracket at all.
+        let config = paper_config(4, 0.9 * paper_config(4, 1.0).effective_capacity());
+        let z = GeometricApproximation::default().solve_detailed(&config).unwrap().decay_rate();
+        assert!(z > 0.5, "decay rate {z}");
+        for margin in [0.5, 1.0, 3.0] {
+            let approx = GeometricApproximation::with_margin(margin).unwrap();
+            assert!(
+                matches!(approx.solve_detailed(&config), Err(ModelError::SpectralFailure(_))),
+                "margin {margin}"
+            );
+        }
+        // A margin just inside the decay rate still finds it, bit for bit.
+        let near = GeometricApproximation::with_margin(0.99 * (1.0 - z)).unwrap();
+        assert_eq!(near.solve_detailed(&config).unwrap().decay_rate().to_bits(), z.to_bits());
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!    `C_0..C_N` — which depends only on the server classes (`N`, `µ`, lifecycle per
 //!    class) and not on the arrival rate, so a load sweep (Figure 8) rebuilds the
 //!    identical skeleton at every point;
-//! 2. the **quadratic eigensystem** of `Q(z)` — which the spectral solver *and* the
-//!    geometric approximation each need for the same `(skeleton, λ)`, so Figures 8
-//!    and 9 used to pay the companion-matrix QR factorisation twice per grid point;
+//! 2. the **quadratic eigensystem** of `Q(z)` — the spectral solver's companion QR and
+//!    eigenvector extraction, which depend on `(skeleton, λ, unit-disk margin)` only,
+//!    so a re-solve under other reality or residual tolerances reuses it (the
+//!    geometric approximation finds its one eigenvalue without it and never touches
+//!    this level);
 //! 3. the **full spectral solution**, which is repeated verbatim whenever the same
 //!    configuration is solved twice (re-running a cost sweep with a different cost
 //!    model, comparing solvers on the same grid, interactive exploration).
@@ -239,15 +241,14 @@ impl TransformKey {
 }
 
 /// The eigensystem of the characteristic matrix polynomial `Q(z)` restricted to the
-/// open unit disk, shared between the spectral solver (producer of the full system)
-/// and the geometric approximation (consumer of the dominant pair).
+/// open unit disk, as the spectral solver computed it: every eigenvalue with its
+/// left eigenvector.
 #[derive(Debug, Clone)]
 pub(crate) struct EigenEntry {
     /// Eigenvalues strictly inside the unit disk.
     pub eigenvalues: Vec<Complex>,
-    /// Left eigenvectors aligned with `eigenvalues`; `None` where the producer did
-    /// not need that eigenvector (the approximation stores only the dominant one).
-    pub eigenvectors: Vec<Option<Vec<Complex>>>,
+    /// Left eigenvectors aligned with `eigenvalues`.
+    pub eigenvectors: Vec<Vec<Complex>>,
 }
 
 /// Number of lock shards per cache level.  Each shard is an independent
@@ -500,15 +501,14 @@ pub struct CacheStats {
     pub solution_hits: u64,
     /// Full-solution lookups that had to run the solver.
     pub solution_misses: u64,
-    /// Eigensystem lookups answered from the cache: one solver reusing the other's
-    /// factorisation for the same `(skeleton, λ, margin)`.  The geometric
-    /// approximation reads the complete system the spectral solver published; the
-    /// spectral solver reads the eigen*values* (plus the dominant eigenvector) the
-    /// approximation published — e.g. a mix search screening with the approximation
-    /// and then verifying the top candidates exactly — and extracts only the missing
-    /// eigenvectors.
+    /// Eigensystem lookups answered from the cache: a spectral solve reusing the
+    /// complete eigensystem an earlier spectral solve stored for the same
+    /// `(skeleton, λ, margin)`, e.g. under other reality or residual tolerances.
+    /// Only the spectral solver looks eigensystems up; the geometric approximation
+    /// never does.
     pub eigen_hits: u64,
-    /// Eigensystem lookups that had to solve the quadratic eigenproblem.
+    /// Eigensystem lookups that had to solve the quadratic eigenproblem (one per
+    /// spectral solve that missed the solution level and this one).
     pub eigen_misses: u64,
     /// Response-transform lookups answered from the cache: repeated percentile or CDF
     /// queries against the same configuration (an SLA sweep evaluating P90/P95/P99,
@@ -619,9 +619,9 @@ impl CacheOccupancy {
 /// [`with_cache`](crate::SpectralExpansionSolver::with_cache) and to a
 /// [`GeometricApproximation`](crate::GeometricApproximation) with
 /// [`with_cache`](crate::GeometricApproximation::with_cache); sharing *one* cache
-/// between both solvers lets the approximation reuse the eigensystem the spectral
-/// solver just factorised for the identical configuration (Figures 8 and 9 compare
-/// the two on the same grids).  See the example above in the module docs.
+/// between both solvers lets them build each QBD skeleton once (Figures 8 and 9
+/// compare the two on the same grids).  Only the spectral solver uses the
+/// eigensystem and solution levels.  See the example above in the module docs.
 ///
 /// # Sharding and poisoning
 ///
@@ -808,9 +808,7 @@ impl SolverCache {
         Ok(found)
     }
 
-    /// Stores a freshly computed eigensystem.  Entries with more eigenvectors win:
-    /// a full entry (from the spectral solver) is never replaced by a dominant-only
-    /// entry (from the approximation) racing on the same key.
+    /// Stores a freshly computed eigensystem.
     pub(crate) fn store_eigensystem(
         &self,
         config: &SystemConfig,
@@ -818,16 +816,7 @@ impl SolverCache {
         entry: EigenEntry,
     ) -> Result<()> {
         let key = EigenKey::new(config, margin)?;
-        let index = self.eigensystems.shard_index(&key);
-        let evicted = self.eigensystems.with_shard_at(index, |map| {
-            if let Some(existing) = map.get(&key) {
-                let existing_vectors = existing.eigenvectors.iter().flatten().count();
-                if existing_vectors >= entry.eigenvectors.iter().flatten().count() {
-                    return None;
-                }
-            }
-            map.insert(key.clone(), Arc::new(entry))
-        });
+        let evicted = self.eigensystems.insert(key, Arc::new(entry));
         Self::record_eviction(&self.eigen_evictions, &self.eigen_eviction_age, evicted);
         Ok(())
     }

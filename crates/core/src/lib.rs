@@ -64,7 +64,8 @@
 //!   QBD skeletons, unit-disk eigensystems and complete spectral solutions, attached
 //!   via [`SpectralExpansionSolver::with_cache`] and
 //!   [`GeometricApproximation::with_cache`]; sharing one cache between the two
-//!   solvers factorises each `(skeleton, λ)` eigenproblem once, not twice.  Each
+//!   solvers builds each skeleton once (the approximation finds its one eigenvalue
+//!   on the band and never needs the spectral eigensystem).  Each
 //!   level is split into independently locked shards (deterministic FNV-1a shard
 //!   assignment), poisoned shards recover by clearing rather than propagating, and
 //!   [`CacheStats::levels`] reports per-level hit rates and eviction ages.

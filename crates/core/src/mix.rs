@@ -13,8 +13,9 @@
 //!   and only the shortlisted candidates — everything within a relative slack band of
 //!   the approximate best, bounded by [`MixSearchOptions`] — are verified exactly.
 //!   Screening and verification share one [`SolverCache`], so the exact pass reuses
-//!   the QBD skeletons and unit-disk eigensystems the approximation already
-//!   factorised instead of repeating them.  Screening is a heuristic: the
+//!   the QBD skeletons the screening pass already built; the unit-disk eigensystem
+//!   is computed once per verified candidate, by the exact pass alone (the
+//!   approximation does not need it).  Screening is a heuristic: the
 //!   approximation's error is load-dependent, and a mix whose approximate cost lies
 //!   far outside the slack band is never verified — [`MixSearch::run_exhaustive`] is
 //!   the exact reference when certainty matters more than time.
@@ -514,9 +515,9 @@ impl MixSearch {
         qualified.clamp(floor, ceiling)
     }
 
-    /// A cache for one run: the attached one, or a private cache whose skeleton and
-    /// eigensystem capacities cover the candidate space, so the exact verification
-    /// pass still finds what the screening pass factorised.
+    /// A cache for one run: the attached one, or a private cache whose capacities
+    /// cover the candidate space, so the exact verification pass still finds the
+    /// skeletons the screening pass built.
     fn run_cache(&self, candidates: usize) -> Arc<SolverCache> {
         match &self.cache {
             Some(cache) => Arc::clone(cache),
@@ -579,8 +580,8 @@ impl MixSearch {
         ranked.truncate(self.shortlist_len(&ranked));
 
         // Verification: solve the shortlisted compositions exactly.  The shared
-        // cache hands the spectral solver the skeletons and eigensystems the
-        // screening pass already built for exactly these configurations.
+        // cache hands the spectral solver the skeletons the screening pass already
+        // built for exactly these configurations.
         let solver = SpectralExpansionSolver::default().with_cache(cache);
         let solve = |config: &SystemConfig| -> Result<f64> {
             Ok(solver.solve_detailed(config)?.mean_queue_length())

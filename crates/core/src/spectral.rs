@@ -152,85 +152,78 @@ impl SpectralExpansionSolver {
     fn solve_qbd(&self, config: &SystemConfig, qbd: &QbdMatrices) -> Result<SpectralSolution> {
         let s = qbd.order();
 
-        // 1. Eigenvalues and left eigenvectors of Q(z) inside the unit disk.  A
-        // cache-sharing GeometricApproximation may already have factorised this
-        // (skeleton, λ, margin) — e.g. during the screening pass of a mix search whose
-        // top candidates are then verified exactly — in which case the cached
-        // eigenvalues (and any cached eigenvectors, typically the dominant one) are
-        // reused and only the missing eigenvectors are extracted.  Both producers
-        // compute the same deterministic quantities from the same skeleton, so the
-        // cached and freshly factorised paths are bit-identical.
+        // 1. Eigenvalues and left eigenvectors of Q(z) inside the unit disk.  An
+        // earlier spectral solve of the same (skeleton, λ, margin) under other
+        // tolerances may have stored the complete eigensystem; it is deterministic, so
+        // the cached and freshly computed paths are bit-identical.  Either way every
+        // eigenvector is re-certified against this solver's residual tolerance.
         let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
         let cached_entry = match &self.cache {
-            Some(cache) => cache
-                .lookup_eigensystem(config, self.options.unit_disk_margin)?
-                .filter(|entry| entry.eigenvalues.len() == s),
+            Some(cache) => cache.lookup_eigensystem(config, self.options.unit_disk_margin)?,
             None => None,
         };
-        // Deterministic order: by modulus, then by real/imaginary part.
-        let order = |a: &Complex, b: &Complex| {
-            a.abs().total_cmp(&b.abs()).then(a.re.total_cmp(&b.re)).then(a.im.total_cmp(&b.im))
-        };
-        // The eigenvalue list paired with any already-extracted left eigenvectors.
-        let mut inside: Vec<(Complex, Option<Vec<Complex>>)> = match cached_entry {
-            Some(entry) => {
-                entry.eigenvalues.iter().copied().zip(entry.eigenvectors.iter().cloned()).collect()
-            }
-            None => problem
-                .eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?
-                .iter()
-                .map(|e| (e.z, None))
-                .collect(),
-        };
-        if inside.len() != s {
-            return Err(ModelError::SpectralFailure(format!(
-                "expected {s} eigenvalues strictly inside the unit disk, found {}",
-                inside.len()
-            )));
-        }
-        inside.sort_by(|a, b| order(&a.0, &b.0));
         let scale = qbd.q1().max_abs().max(1.0);
-        // Each eigenvector extraction is independent, so the sorted list fans out
-        // across the pool.  When the QBD blocks are banded-profitable the extraction
-        // is shifted inverse iteration on one packed banded LU of Q(z)ᵀ per
-        // eigenvalue (O(s·b²) instead of the dense O(s³) null-space path, which
-        // remains the certified fallback); both routes are deterministic, so cached
-        // vectors from either agree bitwise with a fresh solve.  `try_par_map`
-        // reports the smallest-indexed failure, which is exactly the one a serial
-        // loop over the same sorted order would have hit first.
-        let extracted: Vec<(Complex, Vec<Complex>)> =
-            self.pool.try_par_map(&inside, |(z, cached_u)| -> Result<(Complex, Vec<Complex>)> {
-                let u = match cached_u {
-                    Some(u) => u.clone(),
-                    None => problem.left_eigenvector(*z)?,
-                };
-                let residual = problem.residual(*z, &u)?;
-                if residual > self.options.residual_tolerance * scale {
+        let certify = |z: &Complex, u: &[Complex]| -> Result<()> {
+            let residual = problem.residual(*z, u)?;
+            if residual > self.options.residual_tolerance * scale {
+                return Err(ModelError::SpectralFailure(format!(
+                    "left eigenvector residual {residual:.3e} at z = {z} exceeds tolerance",
+                )));
+            }
+            Ok(())
+        };
+        let (eigenvalues, eigenvectors) = match cached_entry {
+            Some(entry) => {
+                for (z, u) in entry.eigenvalues.iter().zip(&entry.eigenvectors) {
+                    certify(z, u)?;
+                }
+                (entry.eigenvalues.clone(), entry.eigenvectors.clone())
+            }
+            None => {
+                let mut inside: Vec<Complex> = problem
+                    .eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?
+                    .iter()
+                    .map(|e| e.z)
+                    .collect();
+                if inside.len() != s {
                     return Err(ModelError::SpectralFailure(format!(
-                        "left eigenvector residual {residual:.3e} at z = {z} exceeds tolerance",
+                        "expected {s} eigenvalues strictly inside the unit disk, found {}",
+                        inside.len()
                     )));
                 }
-                Ok((*z, u))
-            })?;
-        let mut eigenvalues = Vec::with_capacity(s);
-        let mut eigenvectors: Vec<Vec<Complex>> = Vec::with_capacity(s);
-        for (z, u) in extracted {
-            eigenvalues.push(z);
-            eigenvectors.push(u);
-        }
-        // Publish the factorised eigensystem so a cache-sharing
-        // GeometricApproximation solving the same (skeleton, λ) does not repeat the
-        // quadratic eigensolve (Figures 8 and 9 compare the two per grid point).
-        if let Some(cache) = &self.cache {
-            cache.store_eigensystem(
-                config,
-                self.options.unit_disk_margin,
-                crate::cache::EigenEntry {
-                    eigenvalues: eigenvalues.clone(),
-                    eigenvectors: eigenvectors.iter().cloned().map(Some).collect(),
-                },
-            )?;
-        }
+                // Deterministic order: by modulus, then by real/imaginary part.
+                inside.sort_by(|a, b| {
+                    a.abs()
+                        .total_cmp(&b.abs())
+                        .then(a.re.total_cmp(&b.re))
+                        .then(a.im.total_cmp(&b.im))
+                });
+                // Each eigenvector extraction is independent, so the sorted list fans
+                // out across the pool.  When the QBD blocks are banded-profitable the
+                // extraction is shifted inverse iteration on one packed banded LU of
+                // Q(z)ᵀ per eigenvalue (O(s·b²) instead of the dense O(s³) null-space
+                // path, which remains the certified fallback).  `try_par_map` reports
+                // the smallest-indexed failure, which is exactly the one a serial loop
+                // over the same sorted order would have hit first.
+                let eigenvectors: Vec<Vec<Complex>> =
+                    self.pool.try_par_map(&inside, |z| -> Result<Vec<Complex>> {
+                        let u = problem.left_eigenvector(*z)?;
+                        certify(z, &u)?;
+                        Ok(u)
+                    })?;
+                if let Some(cache) = &self.cache {
+                    cache.store_eigensystem(
+                        config,
+                        self.options.unit_disk_margin,
+                        crate::cache::EigenEntry {
+                            eigenvalues: inside.clone(),
+                            eigenvectors: eigenvectors.clone(),
+                        },
+                    )?;
+                }
+                (inside, eigenvectors)
+            }
+        };
 
         // 2. Boundary equations: block-tridiagonal system over v_0..v_{N-1} and γ.
         let boundary = solve_boundary(qbd, &eigenvalues, &eigenvectors, &self.pool)?;

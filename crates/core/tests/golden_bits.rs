@@ -514,5 +514,5 @@ fn approximation_bits() {
     for config in &edge_configs() {
         solution_bits(&mut d, approx.solve(config).unwrap().as_ref(), 8);
     }
-    check("approximation", &d, 0x0bf2_832b_f565_900a);
+    check("approximation", &d, 0x7aa2_3db2_aab2_a440);
 }

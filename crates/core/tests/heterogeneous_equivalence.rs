@@ -224,12 +224,13 @@ fn shared_cache_eliminates_the_duplicated_eigensolve() {
     assert_eq!(points.len(), 4);
 
     let stats = cache.stats();
-    // The spectral solver (which now also *consumes* eigensystem entries, for the
-    // screen-then-verify pattern of the mix search) missed once per grid point and
-    // published its factorisation; the approximation then found every one of them.
-    // Four misses and four hits for four points means zero duplicated eigensolves.
+    // The spectral solver missed once per grid point and stored its eigensystem;
+    // the approximation finds its decay rate on the band and makes no eigensystem
+    // lookup at all.  Four lookups, four misses and four entries for four points
+    // means one quadratic eigensolve per point, none duplicated.
     assert_eq!(stats.eigen_misses, 4, "stats: {stats:?}");
-    assert_eq!(stats.eigen_hits, 4, "stats: {stats:?}");
+    assert_eq!(stats.eigen_hits, 0, "stats: {stats:?}");
+    assert_eq!(cache.len().eigensystems, 4);
     // And the skeleton was built exactly once for the whole sweep.
     assert_eq!(stats.skeleton_misses, 1, "stats: {stats:?}");
 
@@ -244,33 +245,39 @@ fn shared_cache_eliminates_the_duplicated_eigensolve() {
 }
 
 #[test]
-fn approximation_populates_the_eigen_cache_for_itself() {
-    // Approximation-first order (the fig9 pattern run in reverse): the first solve
-    // misses and stores, the second hits its own entry.
+fn approximation_makes_no_eigensystem_lookups_or_stores() {
+    // Two approximation solves of one configuration through a cache: the skeleton is
+    // built once and reused, the eigensystem level is never touched, and the cached
+    // results equal the uncached ones bit for bit.
     let cache = SolverCache::shared();
     let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
     let config = SystemConfig::new(4, 2.5, 1.0, paper_lifecycle()).unwrap();
     let first = approx.solve_detailed(&config).unwrap();
     let second = approx.solve_detailed(&config).unwrap();
-    assert_eq!(first.decay_rate().to_bits(), second.decay_rate().to_bits());
+    let uncached = GeometricApproximation::default().solve_detailed(&config).unwrap();
+    assert_eq!(first, uncached);
+    assert_eq!(second, uncached);
     let stats = cache.stats();
-    assert_eq!((stats.eigen_misses, stats.eigen_hits), (1, 1), "stats: {stats:?}");
+    assert_eq!((stats.eigen_misses, stats.eigen_hits), (0, 0), "stats: {stats:?}");
+    assert_eq!((stats.skeleton_misses, stats.skeleton_hits), (1, 1), "stats: {stats:?}");
+    assert_eq!(cache.len().eigensystems, 0);
 }
 
 #[test]
-fn spectral_consumes_the_approximations_eigensystem_bit_identically() {
-    // Approximation-first order — the screening pass of a mix search.  The spectral
-    // verification must reuse the cached eigenvalues (one eigen hit, no second
-    // quadratic eigensolve) and still produce the bit-identical solution.
+fn spectral_after_the_approximation_solves_its_own_eigensystem_bit_identically() {
+    // Approximation-first order — the screening pass of a mix search.  The
+    // approximation leaves no eigensystem behind, so the spectral verification
+    // misses once, reuses only the skeleton, and produces the bit-identical solution.
     let cache = SolverCache::shared();
     let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
     let spectral = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
     let config = SystemConfig::new(4, 3.1, 1.0, paper_lifecycle()).unwrap();
     approx.solve_detailed(&config).unwrap();
-    assert_eq!(cache.stats().eigen_misses, 1);
+    assert_eq!(cache.stats().eigen_misses, 0);
     let cached = spectral.solve_detailed(&config).unwrap();
     let stats = cache.stats();
-    assert_eq!((stats.eigen_misses, stats.eigen_hits), (1, 1), "stats: {stats:?}");
+    assert_eq!((stats.eigen_misses, stats.eigen_hits), (1, 0), "stats: {stats:?}");
+    assert_eq!((stats.skeleton_misses, stats.skeleton_hits), (1, 1), "stats: {stats:?}");
     let fresh = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
     assert_eq!(cached.mean_queue_length().to_bits(), fresh.mean_queue_length().to_bits());
     assert_eq!(cached.boundary_levels(), fresh.boundary_levels());

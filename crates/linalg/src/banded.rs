@@ -346,6 +346,68 @@ impl<T: Scalar> BandMatrix<T> {
     }
 }
 
+impl BandMatrix<f64> {
+    /// Runs an unpivoted LU elimination in place and reports whether every
+    /// pivot was positive.  The elimination stops at the first pivot that is
+    /// not positive (a NaN pivot counts as not positive).
+    ///
+    /// Without row interchanges the factors of a band stay inside it, so the
+    /// elimination writes only the stored band: `O(n·kl·ku)` work and no
+    /// allocation.  Afterwards the band holds the multipliers below the
+    /// diagonal and `U` on and above it, up to the step where it stopped.
+    ///
+    /// For a Z-matrix (every off-diagonal entry `≤ 0`) the answer is `true`
+    /// exactly when the matrix is a nonsingular M-matrix, that is, when every
+    /// eigenvalue has a positive real part (Berman & Plemmons, *Nonnegative
+    /// Matrices in the Mathematical Sciences*, 1994, ch. 6).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use urs_linalg::BandedMatrix;
+    ///
+    /// // 2 on the diagonal, -1 beside it: an M-matrix.  With 1 on the
+    /// // diagonal the 3×3 determinant is negative, so it is not.
+    /// let mut a = BandedMatrix::from_fn(3, 1, 1, |i, j| if i == j { 2.0 } else { -1.0 });
+    /// assert!(a.eliminate_unpivoted());
+    /// let mut b = BandedMatrix::from_fn(3, 1, 1, |i, j| if i == j { 1.0 } else { -1.0 });
+    /// assert!(!b.eliminate_unpivoted());
+    /// ```
+    pub fn eliminate_unpivoted(&mut self) -> bool {
+        let (n, kl, ku, w) = (self.n, self.kl, self.ku, self.width());
+        let d = self.data.as_mut_slice();
+        // urs-analyze: begin(no_alloc)
+        for k in 0..n {
+            // urs-analyze: allow(slice_index, reason = "row k, diagonal slot kl: in range because every packed row has width kl + ku + 1")
+            let pivot = d[k * w + kl];
+            if pivot.is_nan() || pivot <= 0.0 {
+                return false;
+            }
+            let bl = kl.min(n - 1 - k);
+            let u_extent = ku.min(n - 1 - k);
+            // urs-analyze: allow(slice_index, reason = "split after row k; k + 1 ≤ n rows exist")
+            let (upper, lower) = d.split_at_mut((k + 1) * w);
+            // urs-analyze: allow(slice_index, reason = "U-part of row k beyond the diagonal: offsets kl+1..=kl+u_extent within the row width")
+            let u_row = &upper[k * w + kl + 1..k * w + kl + 1 + u_extent];
+            for (t, row) in lower.chunks_exact_mut(w).take(bl).enumerate() {
+                // Row k+t+1 holds column k at offset kl − (t+1) ≥ 0 since t + 1 ≤ bl ≤ kl,
+                // and columns k+1..=k+u_extent right after it, at most kl + ku − 1.
+                let off = kl - (t + 1);
+                // urs-analyze: allow(slice_index, reason = "column-k slot of row k+t+1, in range as stated above")
+                let factor = row[off] / pivot;
+                // urs-analyze: allow(slice_index, reason = "column-k slot of row k+t+1, in range as stated above")
+                row[off] = factor;
+                // urs-analyze: allow(slice_index, reason = "update window off+1..=off+u_extent ends at most at kl + ku − 1")
+                for (x, &u) in row[off + 1..off + 1 + u_extent].iter_mut().zip(u_row) {
+                    *x -= factor * u;
+                }
+            }
+        }
+        // urs-analyze: end(no_alloc)
+        true
+    }
+}
+
 /// A banded LU factorisation `P·A = L·U` with partial pivoting, stored packed.
 ///
 /// Pivoting widens `U` by up to `kl` extra superdiagonals (the classic fill of
@@ -983,6 +1045,80 @@ pub(crate) mod tests {
         assert_eq!(bits(&x), bits(&direct));
         lu.recycle(&mut ws);
         assert_eq!(ws.pooled(), 1);
+    }
+
+    #[test]
+    fn unpivoted_sign_test_matches_the_eigenvalue_oracle_on_z_matrices() {
+        // Z-matrices `D − P` with `P ≥ 0` banded and `D` a row-sum-scaled
+        // diagonal, so both outcomes occur.  Oracle: an M-matrix is exactly a
+        // Z-matrix whose eigenvalues all have positive real part.
+        let mut next = rng(2024);
+        let (mut m_matrices, mut others) = (0, 0);
+        for &(n, kl, ku) in
+            &[(1usize, 0usize, 0usize), (6, 1, 1), (12, 2, 3), (15, 4, 1), (20, 5, 5)]
+        {
+            for case in 0..24 {
+                let p = BandedMatrix::from_fn(n, kl, ku, |i, j| {
+                    let v = next() + 0.5;
+                    if i == j || v < 0.2 {
+                        0.0
+                    } else {
+                        v
+                    }
+                });
+                let shift = 0.8 + 0.02 * case as f64;
+                let mut a = p.clone();
+                for i in 0..n {
+                    let row_sum: f64 = (0..n).map(|j| p.get(i, j)).sum();
+                    let d = row_sum * (shift + 0.1 * next()) + 0.05 * (next() + 0.5);
+                    for j in i.saturating_sub(kl)..(i + ku + 1).min(n) {
+                        a.set(i, j, if i == j { d } else { -p.get(i, j) });
+                    }
+                }
+                let dense = a.to_dense();
+                let min_re = crate::eigen::eigenvalues(&dense)
+                    .unwrap()
+                    .iter()
+                    .fold(f64::INFINITY, |m, z| m.min(z.re));
+                // Skip cases too close to singular for the oracle to decide.
+                if min_re.abs() < 1e-8 * a.max_abs().max(1.0) {
+                    continue;
+                }
+                let expected = min_re > 0.0;
+                assert_eq!(a.eliminate_unpivoted(), expected, "n={n} kl={kl} ku={ku} case={case}");
+                if expected {
+                    m_matrices += 1;
+                } else {
+                    others += 1;
+                }
+            }
+        }
+        assert!(m_matrices >= 20 && others >= 20, "{m_matrices} M-matrices, {others} others");
+    }
+
+    #[test]
+    fn unpivoted_elimination_reproduces_the_dense_factors_of_an_m_matrix() {
+        // A strictly diagonally dominant Z-matrix never pivots, so the banded
+        // and dense LU agree; the unpivoted elimination must leave the same
+        // factors in the band.
+        let n = 9;
+        let mut a = BandedMatrix::from_fn(n, 2, 1, |i, j| {
+            if i == j {
+                4.0 + 0.1 * i as f64
+            } else {
+                -0.5 - 0.05 * (i + j) as f64
+            }
+        });
+        let lu = crate::LuDecomposition::new(&a.to_dense()).unwrap().into_matrix();
+        assert!(a.eliminate_unpivoted());
+        for i in 0..n {
+            for j in i.saturating_sub(2)..(i + 2).min(n) {
+                assert_eq!(a.get(i, j).to_bits(), lu[(i, j)].to_bits(), "({i},{j})");
+            }
+        }
+        let mut singular = BandedMatrix::from_fn(2, 1, 1, |_, _| 1.0);
+        assert!(!singular.eliminate_unpivoted());
+        assert!(!BandedMatrix::from_fn(1, 0, 0, |_, _| f64::NAN).eliminate_unpivoted());
     }
 
     #[test]
