@@ -7,7 +7,7 @@
 //! argument behind the paper's recommendation of the approximation for large systems.
 //! The `kernels` group pins the blocked/tiled production kernels against naive
 //! reference implementations so a kernel regression fails loudly in CI (the bench
-//! smoke step runs `kernels`, `sweeps`, `mix` and `response`); under `URS_SMOKE`
+//! smoke step runs `solvers`, `kernels`, `sweeps`, `mix` and `response`); under `URS_SMOKE`
 //! every group shrinks to CI-sized instances.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -9,7 +9,7 @@
 //! fleet-size bound, with and without a hardware budget.  Both search strategies are
 //! run and compared: exhaustive exact evaluation, and approximation screening with
 //! exact verification of the shortlist (sharing one `SolverCache`, so verification
-//! reuses the skeletons and eigensystems screening already factorised).
+//! reuses the skeletons screening already built).
 //!
 //! Run with `URS_SMOKE=1` for a CI-sized instance.
 
@@ -73,12 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = cache.stats();
     println!(
         "screened optimum:   {} fast + {} steady (C = {:.4}; {} candidates verified, \
-         {} eigensystem reuses)",
+         {} quadratic eigensolves)",
         screened_best.counts()[0],
         screened_best.counts()[1],
         screened_best.cost(),
         screened.ranked().len(),
-        stats.eigen_hits
+        stats.eigen_misses
     );
     if screened_best.counts() != best.counts() {
         return Err("screened optimum diverged from the exhaustive optimum".into());
