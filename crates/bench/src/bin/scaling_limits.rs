@@ -4,8 +4,9 @@
 //! Sweeps the number of servers at a fixed utilisation, reporting for each N the number
 //! of operational modes, each method's queue-length estimate, the geometric
 //! approximation's relative error against the exact `L` (matrix-geometric, or spectral
-//! once matrix-geometric has retired), and the wall-clock time of each solve — once on a single thread and once with the intra-solve
-//! worker pool (`ThreadPool::default()`, i.e. `URS_THREADS` or the core count).  The
+//! once matrix-geometric has retired), and the wall-clock time of each solve — once on
+//! a single thread and once with the intra-solve worker pool (`ThreadPool::default()`,
+//! i.e. `URS_THREADS` or the core count).  The
 //! pooled solve is asserted **bit-identical** to the serial one (the determinism
 //! contract of the parallel kernels); any mismatch exits non-zero, which is what the
 //! CI thread-matrix leg runs this binary for under `URS_SMOKE=1`.  Each solver is
