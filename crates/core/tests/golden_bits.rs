@@ -7,9 +7,9 @@
 //! and pooled), LU factorisation, the left, matrix and right solves, the
 //! determinant, the banded matvec/gemm/LU/solves, the block-tridiagonal solve
 //! (real and complex wherever both exist) and full spectral, matrix-geometric,
-//! approximation and response-time solves at small `N`.  The `f64::to_bits` of
-//! every output is folded into an FNV-1a digest per group and compared with
-//! the constant recorded below.
+//! approximation and response-time solves at small `N`, plus spectral solves at
+//! the solve ladder's sizes.  The `f64::to_bits` of every output is folded into
+//! an FNV-1a digest per group and compared with the constant recorded below.
 //!
 //! A mismatch means some output changed in at least one bit.  The suite runs in
 //! CI under `URS_THREADS=1` and `URS_THREADS=4` (the pooled variants also use
@@ -515,4 +515,47 @@ fn approximation_bits() {
         solution_bits(&mut d, approx.solve(config).unwrap().as_ref(), 8);
     }
     check("approximation", &d, 0x7aa2_3db2_aab2_a440);
+}
+
+/// The fitted lifecycle of Figures 5, 8 and 9 (H2 operative periods, repairs
+/// at rate 25).
+fn figure5_lifecycle() -> ServerLifecycle {
+    let operative = HyperExponential::new(&[0.7246, 0.2754], &[0.1663, 0.0091]).unwrap();
+    ServerLifecycle::with_exponential_repair(operative, 25.0).unwrap()
+}
+
+/// `classes` at utilisation 0.9 of their effective capacity.
+fn at_utilisation_0_9(classes: Vec<ServerClass>) -> SystemConfig {
+    let capacity = SystemConfig::heterogeneous(1.0, classes.clone()).unwrap().effective_capacity();
+    SystemConfig::heterogeneous(0.9 * capacity, classes).unwrap()
+}
+
+/// The spectral solver at the sizes of the solve ladder: `N = 16` and an 8 + 4
+/// mixed fleet at utilisation 0.9.  Their boundary systems have 17 and 13 block
+/// rows of 153 and 225 modes, far past the small configurations above.
+#[test]
+fn spectral_bits_at_ladder_sizes() {
+    let fleet = vec![
+        ServerClass::new(8, 1.0, figure5_lifecycle()).unwrap(),
+        ServerClass::new(4, 1.5, ServerLifecycle::exponential(0.1, 2.0).unwrap()).unwrap(),
+    ];
+    let configs = [
+        at_utilisation_0_9(vec![ServerClass::new(16, 1.0, figure5_lifecycle()).unwrap()]),
+        at_utilisation_0_9(fleet),
+    ];
+    let mut d = Digest::new();
+    for config in &configs {
+        for pool in [ThreadPool::serial(), ThreadPool::default()] {
+            let spectral = SpectralExpansionSolver::default().with_pool(pool);
+            let solution = spectral.solve_detailed(config).unwrap();
+            d.f(solution.mean_queue_length());
+            for level in solution.boundary_levels() {
+                d.reals(level);
+            }
+            for level in 0..60 {
+                d.f(solution.tail_probability(level));
+            }
+        }
+    }
+    check("spectral at ladder sizes", &d, 0x9786_9d76_04fa_31f9);
 }
