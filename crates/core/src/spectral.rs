@@ -12,10 +12,12 @@
 //!
 //! * the eigenvalues come from the companion linearisation in
 //!   [`urs_linalg::QuadraticEigenProblem`] (Francis QR under the hood);
-//! * the boundary equations are assembled as a complex block-tridiagonal system with
-//!   `N+1` block rows (the last block holds the `γ` coefficients) and solved by block
-//!   elimination with a dense fallback; rows `0..N−1` are the same as the
-//!   matrix-geometric solver's and come from one shared assembly;
+//! * the boundary equations form a block-tridiagonal system with `N+1` block rows
+//!   (the last block holds the `γ` coefficients).  Rows `0..N−1` are real balance
+//!   equations, the same as the matrix-geometric solver's and from one shared
+//!   assembly; they are eliminated in real arithmetic, and only the closing row,
+//!   which couples to `γ` through the complex eigenpairs, is complex.  A singular
+//!   pivot block falls back to a dense complex solve of the whole system;
 //! * instead of replacing an equation by the normalisation condition (which would
 //!   destroy the banded structure), one balance equation is replaced by pinning the
 //!   probability of a well-chosen reference state to 1; the whole solution is rescaled
@@ -274,7 +276,6 @@ fn solve_boundary(
         Ok(m)
     };
 
-    let mut system = qbd.boundary_system::<Complex>()?;
     // Row N−1 couples to γ through v_N = γ·U_mat(N): −(U_mat(N)·C)ᵀ.  At N = 1 that
     // row is the pinned level 0, so the pin mode's row of the coupling is zeroed.
     let mut gamma_coupling = u_mat_c(servers as u32)?.transpose();
@@ -284,7 +285,7 @@ fn solve_boundary(
             row.fill(Complex::ZERO);
         }
     }
-    system.set_upper(servers - 1, &gamma_coupling * Complex::from_real(-1.0))?;
+    let upper = &gamma_coupling * Complex::from_real(-1.0);
     // Level N: −v_{N−1}·B + γ·[U_N·(Dᴬ+B+C−A) − U_{N+1}·C] = 0.
     let mut term1 = CMatrix::zeros(s, s);
     term1.gemm_with(
@@ -295,11 +296,17 @@ fn solve_boundary(
         pool,
     )?;
     let term2 = u_mat_c(servers as u32 + 1)?;
-    system.set_diagonal(servers, (&term1 - &term2).transpose())?;
+    let closing = (&term1 - &term2).transpose();
 
-    let solution = match system.solve_with(pool) {
+    let system = qbd.boundary_system::<f64>()?;
+    let solution = match system.solve_with_complex_closing(&upper, &closing, pool) {
         Ok(x) => x,
-        Err(LinalgError::Singular { .. }) => system.solve_dense()?,
+        Err(LinalgError::Singular { .. }) => {
+            let mut system = qbd.boundary_system::<Complex>()?;
+            system.set_upper(servers - 1, upper)?;
+            system.set_diagonal(servers, closing)?;
+            system.solve_dense()?
+        }
         Err(e) => return Err(e.into()),
     };
     let gamma = solution[servers].clone();

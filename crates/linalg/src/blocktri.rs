@@ -10,15 +10,19 @@
 //! couplings are diagonal and are handed over packed
 //! ([`set_lower_diagonal`](BlockTridiagonalSystem::set_lower_diagonal),
 //! [`set_upper_diagonal`](BlockTridiagonalSystem::set_upper_diagonal)), which gives
-//! the same bits as the dense setters.  The spectral solver's system is complex
-//! ([`BlockTridiagonal`]) because its closing row couples to the expansion
-//! coefficients; the matrix-geometric one is entirely real
-//! ([`RealBlockTridiagonal`]), so it runs the same elimination in real arithmetic.
+//! the same bits as the dense setters.  Every boundary row is real except the
+//! spectral solver's closing row, which couples to the complex expansion
+//! coefficients.  The matrix-geometric solver solves its
+//! [`RealBlockTridiagonal`] with [`solve_with`](BlockTridiagonalSystem::solve_with);
+//! the spectral solver eliminates the same real rows in real arithmetic and runs
+//! only the closing row in complex arithmetic, through
+//! [`solve_with_complex_closing`](BlockTridiagonalSystem::solve_with_complex_closing).
+//! The complex [`BlockTridiagonal`] carries the spectral solver's dense fallback.
 
 use crate::complex::Complex;
 use crate::error::LinalgError;
 use crate::lu::DenseLu;
-use crate::matrix::DenseMatrix;
+use crate::matrix::{CMatrix, DenseMatrix};
 use crate::parallel::ThreadPool;
 use crate::scalar::Scalar;
 use crate::workspace::Workspace;
@@ -74,6 +78,52 @@ fn schur_diagonal_update<T: Scalar>(
             *x -= wv * diag[c * stride];
         }
     }
+}
+
+/// The Schur update `D ← D − W·U` of the block elimination.
+fn schur_update<T: Scalar>(
+    d_cur: &mut DenseMatrix<T>,
+    w: &DenseMatrix<T>,
+    upper: &Coupling<T>,
+    pool: &ThreadPool,
+) -> Result<()> {
+    match upper {
+        // U = diag(u): (W·U)_{r,c} = W_{r,c}·u_c, so the Schur product collapses
+        // to a column scaling — O(s²) instead of O(s³).
+        Coupling::Diagonal(u) => {
+            schur_diagonal_update(d_cur, w, u, 1, w.rows());
+            Ok(())
+        }
+        Coupling::Dense(u) => schur_dense_update(d_cur, w, u, pool),
+    }
+}
+
+/// [`schur_update`] for a coupling held dense, which still takes the column
+/// scaling when the block happens to be diagonal.
+fn schur_dense_update<T: Scalar>(
+    d_cur: &mut DenseMatrix<T>,
+    w: &DenseMatrix<T>,
+    u: &DenseMatrix<T>,
+    pool: &ThreadPool,
+) -> Result<()> {
+    let s = w.rows();
+    if is_diagonal(u) {
+        schur_diagonal_update(d_cur, w, u.as_slice(), s + 1, s);
+        return Ok(());
+    }
+    d_cur.gemm_with(T::from_real(-1.0), w, u, T::ONE, pool)
+}
+
+/// What the block forward elimination leaves for the back substitution.
+struct Forward<T: Scalar> {
+    /// The LU factors of the updated diagonal blocks `D'_i` of the eliminated rows.
+    factors: Vec<DenseLu<T>>,
+    /// The right-hand sides, reduced up to and including the first row not
+    /// factorised.
+    rhs: Vec<Vec<T>>,
+    /// The multiplier `W = L_i·D'⁻¹_{i-1}` of the first row not factorised, when
+    /// there is such a row and it has a sub-diagonal coupling.
+    w: Option<DenseMatrix<T>>,
 }
 
 /// A square block-tridiagonal system with `K` block rows of size `s` each.
@@ -155,7 +205,7 @@ impl<T: Scalar> BlockTridiagonalSystem<T> {
         self.block_size
     }
 
-    fn check_block(&self, block: &DenseMatrix<T>) -> Result<()> {
+    fn check_block<U: Scalar>(&self, block: &DenseMatrix<U>) -> Result<()> {
         if block.shape() != (self.block_size, self.block_size) {
             return Err(LinalgError::DimensionMismatch {
                 operation: "block-tridiagonal block assignment",
@@ -327,66 +377,82 @@ impl<T: Scalar> BlockTridiagonalSystem<T> {
     /// Same as [`solve`](Self::solve), plus [`LinalgError::WorkerPanic`] if a worker
     /// panicked.
     pub fn solve_with(&self, pool: &ThreadPool) -> Result<Vec<Vec<T>>> {
-        let k = self.block_rows;
-        let s = self.block_size;
         let mut ws = Workspace::new();
-        let mut rhs: Vec<Vec<T>> = self.rhs.clone();
+        let Forward { factors, rhs, .. } = self.forward(self.block_rows, &mut ws, pool)?;
+        self.back_substitute(&factors, &rhs, &mut ws)
+    }
 
-        // Forward elimination: remove L_i using block row i-1.  Each iteration
-        // factorises the (updated) diagonal block exactly once and keeps the factors
-        // for the back substitution.
-        let mut factorisations: Vec<DenseLu<T>> = Vec::with_capacity(k);
+    /// Block forward elimination over the rows `0..rows`.
+    ///
+    /// Row `i` takes `W = L_i·D'⁻¹_{i-1}` from the previous row's factors, updates
+    /// `b'_i = b_i − W·b'_{i-1}` and `D'_i = D_i − W·U_{i-1}`, and factorises `D'_i`
+    /// exactly once; the factors are kept for the back substitution.  When
+    /// `rows < K`, row `rows` is reduced only as far as its right-hand side and its
+    /// multiplier `W` is returned, so a caller can close the system with a diagonal
+    /// block of its own.
+    fn forward(&self, rows: usize, ws: &mut Workspace, pool: &ThreadPool) -> Result<Forward<T>> {
+        let s = self.block_size;
+        let mut rhs: Vec<Vec<T>> = self.rhs.clone();
+        let mut factors: Vec<DenseLu<T>> = Vec::with_capacity(rows);
         let mut w = ws.matrix(s, s);
         let mut coupled = ws.buffer(s);
-        for i in 0..k {
+        for (i, (diagonal, lower)) in self.diagonal.iter().zip(&self.lower).enumerate() {
+            let reduced = match (lower, factors.last()) {
+                (Some(lower), Some(prev)) => {
+                    match lower {
+                        Coupling::Dense(l) => {
+                            prev.solve_right_matrix_into_with(l, &mut w, ws, pool)?;
+                        }
+                        Coupling::Diagonal(l) => {
+                            prev.solve_right_diagonal_into_with(l, &mut w, ws, pool)?;
+                        }
+                    }
+                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                    w.matvec_into(&rhs[i - 1], &mut coupled)?;
+                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
+                    for (target, &delta) in rhs[i].iter_mut().zip(coupled.iter()) {
+                        *target -= delta;
+                    }
+                    true
+                }
+                _ => false,
+            };
+            if i == rows {
+                ws.release_buffer(coupled);
+                return Ok(Forward { factors, rhs, w: reduced.then_some(w) });
+            }
             // Working copy of D_i in pooled storage (consumed by the factorisation).
             let mut d_cur = ws.matrix(s, s);
-            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            d_cur.as_mut_slice().copy_from_slice(self.diagonal[i].as_slice());
-            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            if let (Some(lower), Some(prev)) = (&self.lower[i], i.checked_sub(1)) {
-                // W · D'_{i-1} = L_i, then D'_i = D_i − W·U_{i-1} and
-                // b'_i = b_i − W·b'_{i-1}.
-                match lower {
-                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                    Coupling::Dense(l) => factorisations[prev]
-                        .solve_right_matrix_into_with(l, &mut w, &mut ws, pool)?,
-                    // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                    Coupling::Diagonal(l) => factorisations[prev]
-                        .solve_right_diagonal_into_with(l, &mut w, &mut ws, pool)?,
-                }
-                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                match &self.upper[prev] {
-                    // U_{i-1} = diag(u): (W·U)_{r,c} = W_{r,c}·u_c, so the Schur
-                    // product collapses to a column scaling — O(s²) instead of O(s³).
-                    Some(Coupling::Diagonal(u)) => schur_diagonal_update(&mut d_cur, &w, u, 1, s),
-                    Some(Coupling::Dense(u)) if is_diagonal(u) => {
-                        schur_diagonal_update(&mut d_cur, &w, u.as_slice(), s + 1, s);
-                    }
-                    Some(Coupling::Dense(u)) => {
-                        d_cur.gemm_with(T::from_real(-1.0), &w, u, T::ONE, pool)?;
-                    }
-                    None => {}
-                }
-                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                w.matvec_into(&rhs[prev], &mut coupled)?;
-                // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-                for (target, &delta) in rhs[i].iter_mut().zip(coupled.iter()) {
-                    *target -= delta;
-                }
+            d_cur.as_mut_slice().copy_from_slice(diagonal.as_slice());
+            let upper = i.checked_sub(1).and_then(|prev| self.upper.get(prev));
+            if let (true, Some(Some(upper))) = (reduced, upper) {
+                schur_update(&mut d_cur, &w, upper, pool)?;
             }
-            factorisations.push(DenseLu::from_matrix_with(d_cur, pool)?);
+            factors.push(DenseLu::from_matrix_with(d_cur, pool)?);
         }
+        ws.release_buffer(coupled);
         ws.release_matrix(w);
+        Ok(Forward { factors, rhs, w: None })
+    }
 
-        // Back substitution.
-        let mut x: Vec<Vec<T>> = vec![vec![T::ZERO; s]; k];
-        for i in (0..k).rev() {
+    /// Back substitution `x_i = D'⁻¹_i (b'_i − U_i·x_{i+1})` through the factors of
+    /// [`forward`](Self::forward), from the last factorised row up.  That row takes
+    /// no coupling from above: any row past the factors is the caller's to fold
+    /// into its right-hand side.
+    fn back_substitute(
+        &self,
+        factors: &[DenseLu<T>],
+        rhs: &[Vec<T>],
+        ws: &mut Workspace,
+    ) -> Result<Vec<Vec<T>>> {
+        let s = self.block_size;
+        let mut x: Vec<Vec<T>> = vec![vec![T::ZERO; s]; factors.len()];
+        let mut coupled = ws.buffer(s);
+        for (i, (factor, upper)) in factors.iter().zip(&self.upper).enumerate().rev() {
             let mut b = ws.buffer(s);
             // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
             b.copy_from_slice(&rhs[i]);
-            // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            if let (Some(upper), Some(next)) = (&self.upper[i], x.get(i + 1)) {
+            if let (Some(upper), Some(next)) = (upper, x.get(i + 1)) {
                 match upper {
                     Coupling::Dense(u) => u.matvec_into(next, &mut coupled)?,
                     Coupling::Diagonal(u) => {
@@ -400,9 +466,10 @@ impl<T: Scalar> BlockTridiagonalSystem<T> {
                 }
             }
             // urs-analyze: allow(slice_index, reason = "block offsets bounded by the layout the setters validated; packed coupling path")
-            factorisations[i].solve_into(&b, &mut x[i])?;
+            factor.solve_into(&b, &mut x[i])?;
             ws.release_buffer(b);
         }
+        ws.release_buffer(coupled);
         Ok(x)
     }
 
@@ -466,6 +533,76 @@ impl<T: Scalar> BlockTridiagonalSystem<T> {
         let full = self.to_dense();
         let flat = DenseLu::new(&full)?.solve(&self.dense_rhs())?;
         Ok(flat.chunks(s).map(|chunk| chunk.to_vec()).collect())
+    }
+}
+
+impl RealBlockTridiagonal {
+    /// Solves the system with its last block row replaced by a complex one: `upper`
+    /// stands in for the coupling `U_{K-2}` above row `K − 2` and `diagonal` for
+    /// `D_{K-1}`, while every other block and the right-hand side stay real.
+    ///
+    /// This is the shape of the spectral-expansion boundary equations, whose real
+    /// balance equations are closed by one row that couples to the complex
+    /// expansion coefficients.  Rows `0..K−2` are eliminated in real arithmetic,
+    /// and so is the multiplier `W = L_{K-1}·D'⁻¹_{K-2}`.  Only the closing Schur
+    /// update `D_{K-1} − W·U_{K-2}` and its factorisation run in complex
+    /// arithmetic.  Below the closing row the back substitution is real again:
+    /// the real and imaginary parts of the iterates run through the real factors
+    /// one after the other.  Complex arithmetic on operands with zero imaginary
+    /// parts reproduces the real result exactly, so the solution has the same bits
+    /// as [`solve_with`](Self::solve_with) on the system promoted to
+    /// [`BlockTridiagonal`], up to the sign of exact zeros.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidInput`] if the system has fewer than two block
+    /// rows, [`LinalgError::DimensionMismatch`] if a block has the wrong shape, and
+    /// otherwise the errors of [`solve_with`](Self::solve_with).
+    pub fn solve_with_complex_closing(
+        &self,
+        upper: &CMatrix,
+        diagonal: &CMatrix,
+        pool: &ThreadPool,
+    ) -> Result<Vec<Vec<Complex>>> {
+        let last = match self.block_rows.checked_sub(1) {
+            Some(last) if last > 0 => last,
+            _ => {
+                return Err(LinalgError::InvalidInput(
+                    "a complex closing row needs a system of at least two block rows".into(),
+                ))
+            }
+        };
+        self.check_block(upper)?;
+        self.check_block(diagonal)?;
+        let mut ws = Workspace::new();
+        let Forward { factors, mut rhs, w } = self.forward(last, &mut ws, pool)?;
+
+        let mut closing = diagonal.clone();
+        if let Some(w) = w {
+            schur_dense_update(&mut closing, &CMatrix::from_real(&w), upper, pool)?;
+        }
+        let promoted: Vec<Complex> =
+            rhs.get(last).into_iter().flatten().map(|&v| v.into()).collect();
+        let x_last = DenseLu::from_matrix_with(closing, pool)?.solve(&promoted)?;
+
+        // Row K − 2 takes the complex coupling; from there down the system is real.
+        let coupled = upper.matvec(&x_last)?;
+        let mut rhs_im = vec![vec![0.0; self.block_size]; last];
+        if let (Some(re), Some(im)) = (rhs.get_mut(last - 1), rhs_im.last_mut()) {
+            for ((re, im), c) in re.iter_mut().zip(im.iter_mut()).zip(&coupled) {
+                *re -= c.re;
+                *im -= c.im;
+            }
+        }
+        let x_re = self.back_substitute(&factors, &rhs, &mut ws)?;
+        let x_im = self.back_substitute(&factors, &rhs_im, &mut ws)?;
+        let mut x: Vec<Vec<Complex>> = x_re
+            .iter()
+            .zip(&x_im)
+            .map(|(re, im)| re.iter().zip(im).map(|(&re, &im)| Complex::new(re, im)).collect())
+            .collect();
+        x.push(x_last);
+        Ok(x)
     }
 }
 
@@ -775,5 +912,134 @@ mod tests {
         assert!(sys.set_upper_diagonal(1, vec![1.0, 2.0, 3.0]).is_err());
         assert!(sys.set_lower_diagonal(1, vec![1.0, 2.0]).is_ok());
         assert!(sys.set_upper_diagonal(1, vec![1.0, 2.0]).is_ok());
+    }
+
+    /// A diagonally dominant real system of `k` block rows and the complex
+    /// closing blocks for it, with the couplings packed or dense.
+    fn closing_sample(
+        k: usize,
+        s: usize,
+        packed: bool,
+        seed: u64,
+    ) -> (RealBlockTridiagonal, CMatrix, CMatrix) {
+        let mut next = rng(seed);
+        let mut sys = RealBlockTridiagonal::new(k, s).unwrap();
+        for i in 0..k {
+            let mut d = Matrix::from_fn(s, s, |_, _| next());
+            for r in 0..s {
+                d[(r, r)] += s as f64 + 2.0;
+            }
+            sys.set_diagonal(i, d).unwrap();
+            if i > 0 {
+                if packed {
+                    sys.set_lower_diagonal(i, (0..s).map(|_| next()).collect()).unwrap();
+                } else {
+                    sys.set_lower(i, Matrix::from_fn(s, s, |_, _| next())).unwrap();
+                }
+            }
+            if i + 1 < k {
+                if packed {
+                    sys.set_upper_diagonal(i, (0..s).map(|_| next()).collect()).unwrap();
+                } else {
+                    sys.set_upper(i, Matrix::from_fn(s, s, |_, _| next())).unwrap();
+                }
+            }
+            sys.set_rhs(i, (0..s).map(|_| next()).collect()).unwrap();
+        }
+        let upper = CMatrix::from_fn(s, s, |_, _| Complex::new(next(), next()));
+        let mut diagonal = CMatrix::from_fn(s, s, |_, _| Complex::new(next(), next()));
+        for r in 0..s {
+            diagonal[(r, r)] += Complex::from_real(s as f64 + 2.0);
+        }
+        (sys, upper, diagonal)
+    }
+
+    /// `sys` promoted to complex, with its last row closed by `upper` and
+    /// `diagonal`: the system the complex-closing entry point solves.
+    fn promoted(
+        sys: &RealBlockTridiagonal,
+        upper: &CMatrix,
+        diagonal: &CMatrix,
+    ) -> BlockTridiagonal {
+        let k = sys.block_rows();
+        let promote = |v: &[f64]| -> Vec<Complex> { v.iter().map(|&x| x.into()).collect() };
+        let mut out = BlockTridiagonal::new(k, sys.block_size()).unwrap();
+        for i in 0..k {
+            out.set_diagonal(i, CMatrix::from_real(&sys.diagonal[i])).unwrap();
+            out.set_rhs(i, promote(&sys.rhs[i])).unwrap();
+            match &sys.lower[i] {
+                Some(Coupling::Dense(l)) => out.set_lower(i, CMatrix::from_real(l)).unwrap(),
+                Some(Coupling::Diagonal(l)) => out.set_lower_diagonal(i, promote(l)).unwrap(),
+                None => {}
+            }
+            match &sys.upper[i] {
+                Some(Coupling::Dense(u)) => out.set_upper(i, CMatrix::from_real(u)).unwrap(),
+                Some(Coupling::Diagonal(u)) => out.set_upper_diagonal(i, promote(u)).unwrap(),
+                None => {}
+            }
+        }
+        out.set_upper(k - 2, upper.clone()).unwrap();
+        out.set_diagonal(k - 1, diagonal.clone()).unwrap();
+        out
+    }
+
+    #[test]
+    fn complex_closing_matches_the_promoted_complex_solve_bitwise() {
+        let pools = [ThreadPool::serial(), ThreadPool::new(4)];
+        let mut seed = 61;
+        for &k in &[2, 3, 6] {
+            // s = 40 is large enough for the pooled kernels to split their work.
+            for &s in &[3, 40] {
+                for &packed in &[true, false] {
+                    seed += 1;
+                    let (sys, upper, diagonal) = closing_sample(k, s, packed, seed);
+                    let reference = promoted(&sys, &upper, &diagonal);
+                    let expected = reference.solve().unwrap();
+                    assert!(residual(&reference, &expected) < 1e-10);
+                    for pool in &pools {
+                        let x = sys.solve_with_complex_closing(&upper, &diagonal, pool).unwrap();
+                        assert_eq!(x.len(), k);
+                        for (a, b) in x.iter().zip(&expected) {
+                            assert_eq!(bits(a), bits(b), "K = {k}, s = {s}, packed = {packed}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn complex_closing_reports_a_singular_real_pivot_block() {
+        // D'_0 = D_0 is the first real pivot block.
+        let (mut sys, upper, diagonal) = closing_sample(3, 2, true, 5);
+        sys.set_diagonal(0, Matrix::zeros(2, 2)).unwrap();
+        let pool = ThreadPool::serial();
+        assert!(matches!(
+            sys.solve_with_complex_closing(&upper, &diagonal, &pool),
+            Err(LinalgError::Singular { .. })
+        ));
+        // So is a singular closing block: with L_2 = 0 the Schur update leaves
+        // the zero diagonal block as it is.
+        let (mut sys, upper, _) = closing_sample(3, 2, false, 6);
+        sys.set_lower_diagonal(2, vec![0.0; 2]).unwrap();
+        assert!(matches!(
+            sys.solve_with_complex_closing(&upper, &CMatrix::zeros(2, 2), &pool),
+            Err(LinalgError::Singular { .. })
+        ));
+    }
+
+    #[test]
+    fn complex_closing_validates_its_input() {
+        let pool = ThreadPool::serial();
+        let single = RealBlockTridiagonal::new(1, 2).unwrap();
+        let block = CMatrix::identity(2);
+        assert!(matches!(
+            single.solve_with_complex_closing(&block, &block, &pool),
+            Err(LinalgError::InvalidInput(_))
+        ));
+        let (sys, upper, diagonal) = closing_sample(2, 2, true, 7);
+        let wrong = CMatrix::identity(3);
+        assert!(sys.solve_with_complex_closing(&wrong, &diagonal, &pool).is_err());
+        assert!(sys.solve_with_complex_closing(&upper, &wrong, &pool).is_err());
     }
 }
