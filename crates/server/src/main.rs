@@ -14,7 +14,7 @@
 //! boundaries depend on timing — but responses never do (the byte-identical replay
 //! contract of `urs_server`).  `URS_THREADS` bounds the worker pool.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -76,6 +76,9 @@ fn serve_tcp(server: &Arc<Server>, addr: &str) {
 }
 
 fn serve_connection(server: &Arc<Server>, stream: TcpStream) {
+    // Each batch leaves in one write at its flush; without this, Nagle's
+    // algorithm would hold that write until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(reader) = stream.try_clone() else { return };
     let (tx, rx) = std::sync::mpsc::sync_channel(MAX_BATCH * 4);
     spawn_reader(BufReader::new(reader), tx);
@@ -96,8 +99,10 @@ fn spawn_reader<R: Read + Send + 'static>(reader: BufReader<R>, tx: SyncSender<S
 }
 
 /// The serve loop: block for one line, drain whatever else has already arrived
-/// (up to `MAX_BATCH`), answer the batch, flush, repeat.
-fn pump(server: &Arc<Server>, rx: &Receiver<String>, mut out: impl Write) {
+/// (up to `MAX_BATCH`), answer the batch, flush, repeat.  The answers collect in a
+/// buffer, so a batch reaches `out` in one write at its flush.
+fn pump(server: &Arc<Server>, rx: &Receiver<String>, out: impl Write) {
+    let mut out = BufWriter::new(out);
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
         while batch.len() < MAX_BATCH {
@@ -119,5 +124,47 @@ fn pump(server: &Arc<Server>, rx: &Receiver<String>, mut out: impl Write) {
         if out.flush().is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that counts the `write` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_batch_reaches_the_writer_in_one_write() {
+        let server = Arc::new(Server::new());
+        let lines: Vec<String> = (0..MAX_BATCH + 3).map(|i| format!("not json {i}")).collect();
+        let (tx, rx) = std::sync::mpsc::sync_channel(MAX_BATCH * 4);
+        for line in &lines {
+            tx.send(line.clone()).unwrap();
+        }
+        drop(tx);
+        let mut out = CountingWriter::default();
+        pump(&server, &rx, &mut out);
+        // Everything queued up front: one full batch, then the remaining three.
+        assert_eq!(out.writes, 2);
+        let expected: String =
+            lines.iter().map(|line| format!("{}\n", server.respond_line(line))).collect();
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
     }
 }
