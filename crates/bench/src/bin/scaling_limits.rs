@@ -8,8 +8,10 @@
 //! a single thread and once with the intra-solve worker pool (`ThreadPool::default()`,
 //! i.e. `URS_THREADS` or the core count).  The
 //! pooled solve is asserted **bit-identical** to the serial one (the determinism
-//! contract of the parallel kernels); any mismatch exits non-zero, which is what the
-//! CI thread-matrix leg runs this binary for under `URS_SMOKE=1`.  Each solver is
+//! contract of the parallel kernels), and at every N both exact solvers reach their
+//! mean queue lengths must agree: `|L_spectral − L_mg| / L_mg ≤ 1e-9`.  Either
+//! violation exits non-zero, which is what the CI thread-matrix leg runs this binary
+//! for under `URS_SMOKE=1`.  Each solver is
 //! retired from the sweep once it fails or its faster execution exceeds a per-solve
 //! time budget, and the run closes with the **maximum practical N** reached by every
 //! solver — the headline number the logarithmic-reduction and blocked-kernel rewrite
@@ -31,6 +33,9 @@ use urs_core::engine::json::{self, Value};
 use urs_core::{
     GeometricApproximation, MatrixGeometricSolver, QueueSolver, SpectralExpansionSolver, ThreadPool,
 };
+
+/// Largest tolerated `|L_spectral − L_mg| / L_mg` at an N both exact solvers reach.
+const EXACT_AGREEMENT: f64 = 1e-9;
 
 /// One tracked solver: its display name, a serial and (optionally) a pooled instance,
 /// and sweep state.
@@ -99,6 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget: f64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(default_budget);
     let pool = ThreadPool::default();
     let workers = pool.threads();
+    let mut max_exact_gap: Option<f64> = None;
 
     let mut solvers = vec![
         Tracked {
@@ -143,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let modes = base.environment_states();
         // The exact L at this N: the last exact solver to succeed (matrix-geometric
         // runs after spectral; the two agree to every printed digit).
-        let mut exact_mean = None;
+        let mut exact_mean: Option<f64> = None;
         for tracked in &mut solvers {
             if tracked.retired.is_some() {
                 continue;
@@ -201,10 +207,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 None => format!("{:>10}", "-"),
             };
             let rel_error_vs_exact = if tracked.exact {
+                // Spectral runs first, so a second exact L is matrix-geometric's.
+                if let Some(spectral) = exact_mean {
+                    let gap = (spectral - mean).abs() / mean;
+                    if gap.is_nan() || gap > EXACT_AGREEMENT {
+                        return Err(format!(
+                            "exact solvers disagree at N = {n}: |L_spectral − L_mg| / L_mg = \
+                             {gap:e} exceeds {EXACT_AGREEMENT:e}"
+                        )
+                        .into());
+                    }
+                    max_exact_gap = Some(max_exact_gap.map_or(gap, |g: f64| g.max(gap)));
+                }
                 exact_mean = Some(mean);
                 None
             } else {
-                exact_mean.map(|exact: f64| (mean - exact).abs() / exact)
+                exact_mean.map(|exact| (mean - exact).abs() / exact)
             };
             let error_cell = rel_error_vs_exact
                 .map_or_else(|| format!("{:>10}", "-"), |e| format!("{:>10.3e}", e));
@@ -243,6 +261,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("\nWrote machine-readable sweep results to BENCH_scaling.json.");
     println!("Every pooled solve above was verified bit-identical to its serial run.");
+    if let Some(gap) = max_exact_gap {
+        println!(
+            "Largest |L_spectral − L_mg| / L_mg over the N both exact solvers reached: \
+             {gap:.1e} (limit {EXACT_AGREEMENT:e})."
+        );
+    }
     println!("\nPaper: for N greater than about 24 the exact solution warns of ill-conditioned");
     println!("matrices while the approximation shows no such problems; with the blocked");
     println!("kernels and logarithmic reduction both exact solvers now clear the sweep.");
