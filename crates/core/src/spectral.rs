@@ -252,9 +252,10 @@ struct BoundaryUnknowns {
     gamma: Vec<Complex>,
 }
 
-/// Builds and solves the boundary block-tridiagonal system: the boundary rows
-/// shared with the matrix-geometric solver (`QbdMatrices::boundary_system`),
-/// closed by the `γ` coupling above row `N − 1` and the level-`N` equation.
+/// Builds and solves the boundary block-tridiagonal system: the real boundary
+/// rows shared with the matrix-geometric solver (`QbdMatrices::boundary_system`),
+/// closed by the complex `γ` coupling above row `N − 1` and the complex level-`N`
+/// equation.
 fn solve_boundary(
     qbd: &QbdMatrices,
     eigenvalues: &[Complex],

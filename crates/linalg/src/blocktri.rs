@@ -582,13 +582,13 @@ impl RealBlockTridiagonal {
             schur_dense_update(&mut closing, &CMatrix::from_real(&w), upper, pool)?;
         }
         let promoted: Vec<Complex> =
-            rhs.get(last).into_iter().flatten().map(|&v| v.into()).collect();
+            rhs.pop().unwrap_or_default().into_iter().map(Complex::from).collect();
         let x_last = DenseLu::from_matrix_with(closing, pool)?.solve(&promoted)?;
 
         // Row K − 2 takes the complex coupling; from there down the system is real.
         let coupled = upper.matvec(&x_last)?;
         let mut rhs_im = vec![vec![0.0; self.block_size]; last];
-        if let (Some(re), Some(im)) = (rhs.get_mut(last - 1), rhs_im.last_mut()) {
+        if let (Some(re), Some(im)) = (rhs.last_mut(), rhs_im.last_mut()) {
             for ((re, im), c) in re.iter_mut().zip(im.iter_mut()).zip(&coupled) {
                 *re -= c.re;
                 *im -= c.im;
