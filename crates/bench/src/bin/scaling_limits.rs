@@ -148,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let base = system(n, 0.9 * n as f64 * lifecycle.availability(), lifecycle);
         let modes = base.environment_states();
         // The exact L at this N: the last exact solver to succeed (matrix-geometric
-        // runs after spectral; the two agree to every printed digit).
+        // runs after spectral, and the two must agree within EXACT_AGREEMENT).
         let mut exact_mean: Option<f64> = None;
         for tracked in &mut solvers {
             if tracked.retired.is_some() {
